@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/appcorpus"
+	"repro/internal/chaos"
 	"repro/internal/debloat"
 	"repro/internal/experiments"
 	"repro/internal/faas"
@@ -552,16 +553,26 @@ func BenchmarkMonitor_ReplayOverhead(b *testing.B) {
 // corpus-shaped day, with the telemetry plane off (pool dynamics and
 // counters only — the raw replay throughput) and on (TSDB windows, three
 // ledgers, histogram, registry, exemplars, post-hoc SLO evaluation). The
-// metrics report invocations per wall-clock second and allocated bytes per
-// invocation; the on/off ratio is the telemetry overhead. Byte-identity
-// across worker counts is asserted in internal/fleet's tests — here both
-// arms run on GOMAXPROCS shards.
+// chaos arm replays the same day shape as a 4-arm mix through the
+// canonical incident day with every mitigation on, which exercises the
+// gated pool and the separate chaos replay loop. The metrics report
+// invocations per wall-clock second and allocated bytes and heap objects
+// per invocation; the on/off ratio is the telemetry overhead.
+// Byte-identity across worker counts is asserted in internal/fleet's
+// tests — here every arm runs on GOMAXPROCS shards.
 func BenchmarkFleet_Replay(b *testing.B) {
 	pc := fleet.DefaultPopConfig()
 	if testing.Short() {
 		pc.Functions = 1000
 	}
 	pop := fleet.GeneratePopulation(pc, nil)
+	chaosPC := pc
+	chaosPC.ArmMix = []fleet.ArmShare{
+		{Arm: chaos.ArmDebloated, Frac: 0.25},
+		{Arm: chaos.ArmFallback, Frac: 0.25},
+		{Arm: chaos.ArmBreaker, Frac: 0.25},
+	}
+	chaosPop := fleet.GeneratePopulation(chaosPC, nil)
 	// The rules arm layers per-shard incremental recording rules on top of
 	// full telemetry; its delta against telemetry_on is the rule-evaluation
 	// overhead (a per-block boundary sweep — a few percent, not a second
@@ -577,10 +588,12 @@ func BenchmarkFleet_Replay(b *testing.B) {
 		name    string
 		disable bool
 		rules   []query.Rule
+		chaos   bool
 	}{
-		{"telemetry_on", false, nil},
-		{"telemetry_on_rules", false, benchRules},
-		{"telemetry_off", true, nil},
+		{"telemetry_on", false, nil, false},
+		{"telemetry_on_rules", false, benchRules, false},
+		{"telemetry_off", true, nil, false},
+		{"chaos", false, nil, true},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -588,15 +601,22 @@ func BenchmarkFleet_Replay(b *testing.B) {
 			runtime.ReadMemStats(&ms0)
 			b.ResetTimer()
 			var inv uint64
+			cfg := fleet.Config{
+				Period:           pc.Period,
+				SLOs:             fleet.DefaultSLOs(),
+				Seed:             pc.Seed,
+				Pricing:          pc.Pricing,
+				DisableTelemetry: arm.disable,
+				Rules:            arm.rules,
+			}
+			fns := pop
+			if arm.chaos {
+				cfg.SLOs = fleet.DefaultChaosSLOs()
+				cfg.Chaos = &chaos.Config{Incidents: chaos.DefaultIncidentDay(), Mitigations: chaos.AllMitigations()}
+				fns = chaosPop
+			}
 			for i := 0; i < b.N; i++ {
-				res, err := fleet.Replay(fleet.Config{
-					Period:           pc.Period,
-					SLOs:             fleet.DefaultSLOs(),
-					Seed:             pc.Seed,
-					Pricing:          pc.Pricing,
-					DisableTelemetry: arm.disable,
-					Rules:            arm.rules,
-				}, pop)
+				res, err := fleet.Replay(cfg, fns)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -608,6 +628,7 @@ func BenchmarkFleet_Replay(b *testing.B) {
 			if sec := b.Elapsed().Seconds(); sec > 0 && total > 0 {
 				b.ReportMetric(total/sec, "inv/s")
 				b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/total, "B/inv")
+				b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/total, "allocs/inv")
 			}
 		})
 	}

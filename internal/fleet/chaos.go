@@ -33,20 +33,14 @@ func replayChaosFunction(cfg *Config, fn *Function, p *partial) {
 	as := p.chaosArm(fn.Arm)
 	next := fn.arrivalSource(cfg.Period)
 	var seq uint64
-	fnKey := exemplarFnKey(cfg.Seed, fn.ID)
-	var armNames *monitor.SeriesNames
-	if cfg.LabelSeries && !cfg.DisableTelemetry && fn.Arm != "" {
-		names := monitor.NamedSeries(monitor.Label{Key: "arm", Val: fn.Arm})
-		armNames = &names
-	}
+	sink := newFnSink(cfg, fn, p)
+	cs := &p.chaos // nil handles when telemetry is off
 
 	gate := trace.PoolGate{
 		Admit: func(at time.Duration) bool {
 			as.Demand++
 			admitted := st.Admit(at)
-			if !cfg.DisableTelemetry {
-				p.store.Record(chaos.SeriesDemand, at, 1)
-			}
+			cs.demand.Record(at, 1)
 			if admitted {
 				return true
 			}
@@ -73,15 +67,15 @@ func replayChaosFunction(cfg *Config, fn *Function, p *partial) {
 				return false
 			}
 			if d.Class == "shed" {
-				p.store.Record(chaos.SeriesShed, at, 1)
+				cs.shed.Record(at, 1)
 			} else {
-				p.store.Record(chaos.SeriesBad, at, 1)
+				cs.bad.Record(at, 1)
 			}
 			if d.ThrottledAttempts > 0 {
-				p.store.Record(chaos.SeriesThrottled, at, float64(d.ThrottledAttempts))
+				cs.throttled.Record(at, float64(d.ThrottledAttempts))
 			}
 			if d.RetriesDenied > 0 {
-				p.store.Record(chaos.SeriesRetryDenied, at, float64(d.RetriesDenied))
+				cs.retryDenied.Record(at, float64(d.RetriesDenied))
 			}
 			s := monitor.Sample{
 				Function: fn.Name,
@@ -89,10 +83,8 @@ func replayChaosFunction(cfg *Config, fn *Function, p *partial) {
 				E2E:      d.E2E,
 				MemoryMB: fn.MemoryMB,
 			}
-			monitor.FoldSample(p.store, end, s, cfg.SLOs)
-			if cfg.LabelSeries && armNames != nil {
-				monitor.FoldSampleInto(p.store, end, s, *armNames)
-			}
+			p.sink.Fold(end, &s)
+			sink.arm.Fold(end, &s)
 			return false
 		},
 		Busy:  st.Serve,
@@ -151,68 +143,26 @@ func replayChaosFunction(cfg *Config, fn *Function, p *partial) {
 			MemoryMB:   fn.MemoryMB,
 			CostUSD:    out.CostUSD,
 		}
-		monitor.FoldSample(p.store, at, s, cfg.SLOs)
-		if cfg.LabelSeries {
-			if armNames != nil {
-				monitor.FoldSampleInto(p.store, at, s, *armNames)
-			}
-			if s.Billed > 0 && s.CostUSD > 0 {
-				if s.BilledInit > 0 {
-					p.store.Record(costInitSeries, at, s.CostUSD*float64(s.BilledInit)/float64(s.Billed))
-				}
-				if s.BilledExec > 0 {
-					p.store.Record(costExecSeries, at, s.CostUSD*float64(s.BilledExec)/float64(s.Billed))
-				}
-			}
-		}
-		p.store.Record(chaos.SeriesServed, at, out.E2E.Seconds())
+		cs.served.Record(at, out.E2E.Seconds())
 		if out.ThrottledAttempts > 0 {
-			p.store.Record(chaos.SeriesThrottled, at, float64(out.ThrottledAttempts))
+			cs.throttled.Record(at, float64(out.ThrottledAttempts))
 		}
 		if out.RetriesDenied > 0 {
-			p.store.Record(chaos.SeriesRetryDenied, at, float64(out.RetriesDenied))
+			cs.retryDenied.Record(at, float64(out.RetriesDenied))
 		}
 		if out.Fallback {
-			p.store.Record(chaos.SeriesFallback, at, 1)
+			cs.fallback.Record(at, 1)
 		}
 		if out.Hedged {
-			p.store.Record(chaos.SeriesHedge, at, 1)
+			cs.hedge.Record(at, 1)
 			if out.HedgeWon {
-				p.store.Record(chaos.SeriesHedgeWin, at, 1)
+				cs.hedgeWin.Record(at, 1)
 			}
 		}
 		if out.BreakerOpened {
-			p.store.Record(chaos.SeriesBreakerOpen, at, 1)
+			cs.breakerOpen.Record(at, 1)
 		}
-		p.ledger.Record(s)
-		if fn.Arm != "" {
-			armed := s
-			armed.Function = fn.Arm
-			p.arms.Record(armed)
-			if fn.Archetype != "" {
-				armed.Function = fn.Archetype + "/" + fn.Arm
-				p.arch.Record(armed)
-			}
-		}
-		p.hist.Observe(s.E2E.Seconds())
-		p.reg.Inc("fleet.invocations", 1)
-		if ev.Cold {
-			p.reg.Inc("fleet.cold_starts", 1)
-		}
-		key := exemplarSampleKey(fnKey, seq)
-		p.ex.offer(Exemplar{
-			Function:  fn.Name,
-			Archetype: fn.Archetype,
-			Arm:       fn.Arm,
-			At:        at,
-			Init:      out.Init,
-			E2E:       out.E2E,
-			CostUSD:   s.CostUSD,
-			Cold:      ev.Cold,
-			seq:       seq,
-			key:       key,
-			span:      exemplarSpanKey(key),
-		})
+		sink.served(at, &s, seq)
 		seq++
 	})
 	if res.MaxInstances > p.peakLive {
@@ -220,5 +170,27 @@ func replayChaosFunction(cfg *Config, fn *Function, p *partial) {
 	}
 	if fn.Arm != "" {
 		p.armFns[fn.Arm]++
+	}
+}
+
+// chaosSeries are a shard's handles on the chaos.* series the scorecard
+// windows over.
+type chaosSeries struct {
+	demand, shed, bad, throttled, retryDenied      *monitor.Series
+	served, fallback, hedge, hedgeWin, breakerOpen *monitor.Series
+}
+
+func newChaosSeries(st *monitor.Store) chaosSeries {
+	return chaosSeries{
+		demand:      st.Handle(chaos.SeriesDemand),
+		shed:        st.Handle(chaos.SeriesShed),
+		bad:         st.Handle(chaos.SeriesBad),
+		throttled:   st.Handle(chaos.SeriesThrottled),
+		retryDenied: st.Handle(chaos.SeriesRetryDenied),
+		served:      st.Handle(chaos.SeriesServed),
+		fallback:    st.Handle(chaos.SeriesFallback),
+		hedge:       st.Handle(chaos.SeriesHedge),
+		hedgeWin:    st.Handle(chaos.SeriesHedgeWin),
+		breakerOpen: st.Handle(chaos.SeriesBreakerOpen),
 	}
 }

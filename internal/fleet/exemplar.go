@@ -92,18 +92,49 @@ func exemplarSampleKey(fnKey uint64, seq uint64) uint64 {
 // order-independently.
 type exemplarSet struct {
 	k     int
-	less  func(a, b *Exemplar) bool // a ranks strictly ahead of b
+	by    exemplarOrder
 	items []Exemplar
 }
 
-func (s *exemplarSet) offer(e Exemplar) {
-	if len(s.items) == s.k && !s.less(&e, &s.items[s.k-1]) {
+// exemplarOrder is a set's primary ranking criterion.
+type exemplarOrder uint8
+
+const (
+	bySlowest  exemplarOrder = iota // largest E2E first
+	byPriciest                      // largest CostUSD first
+	bySampled                       // smallest sampling key first
+)
+
+// less reports whether a ranks strictly ahead of b: the set's primary
+// criterion, then the (At, Function, seq) tiebreak.
+func (s *exemplarSet) less(a, b *Exemplar) bool {
+	switch s.by {
+	case bySlowest:
+		if a.E2E != b.E2E {
+			return a.E2E > b.E2E
+		}
+	case byPriciest:
+		if a.CostUSD != b.CostUSD {
+			return a.CostUSD > b.CostUSD
+		}
+	case bySampled:
+		if a.key != b.key {
+			return a.key < b.key
+		}
+	}
+	return tiebreak(a, b)
+}
+
+// offer considers one candidate; the set copies it if it ranks among the
+// k best.
+func (s *exemplarSet) offer(e *Exemplar) {
+	if len(s.items) == s.k && !s.less(e, &s.items[s.k-1]) {
 		return // worse than the current worst: the common case, one compare
 	}
 	lo, hi := 0, len(s.items)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if s.less(&e, &s.items[mid]) {
+		if s.less(e, &s.items[mid]) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -113,12 +144,12 @@ func (s *exemplarSet) offer(e Exemplar) {
 		s.items = append(s.items, Exemplar{})
 	}
 	copy(s.items[lo+1:], s.items[lo:])
-	s.items[lo] = e
+	s.items[lo] = *e
 }
 
 func (s *exemplarSet) mergeFrom(o *exemplarSet) {
-	for _, e := range o.items {
-		s.offer(e)
+	for i := range o.items {
+		s.offer(&o.items[i])
 	}
 }
 
@@ -148,28 +179,13 @@ type exemplars struct {
 
 func newExemplars(k int, seed int64) *exemplars {
 	return &exemplars{
-		slowest: exemplarSet{k: k, less: func(a, b *Exemplar) bool {
-			if a.E2E != b.E2E {
-				return a.E2E > b.E2E
-			}
-			return tiebreak(a, b)
-		}},
-		priciest: exemplarSet{k: k, less: func(a, b *Exemplar) bool {
-			if a.CostUSD != b.CostUSD {
-				return a.CostUSD > b.CostUSD
-			}
-			return tiebreak(a, b)
-		}},
-		sampled: exemplarSet{k: k, less: func(a, b *Exemplar) bool {
-			if a.key != b.key {
-				return a.key < b.key
-			}
-			return tiebreak(a, b)
-		}},
+		slowest:  exemplarSet{k: k, by: bySlowest},
+		priciest: exemplarSet{k: k, by: byPriciest},
+		sampled:  exemplarSet{k: k, by: bySampled},
 	}
 }
 
-func (x *exemplars) offer(e Exemplar) {
+func (x *exemplars) offer(e *Exemplar) {
 	x.slowest.offer(e)
 	x.priciest.offer(e)
 	x.sampled.offer(e)

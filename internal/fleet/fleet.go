@@ -200,7 +200,10 @@ func DefaultChaosSLOs() []monitor.SLO {
 
 // partial is one block's private telemetry shard. A partial is owned by
 // exactly one worker goroutine while its block replays, then handed to
-// the merger; no accumulator is ever written from two goroutines.
+// the merger; no accumulator is ever written from two goroutines. That
+// single-writer ownership is what lets the replay write through lock-free
+// handles: the sinks below, and the ledger buckets each function resolves
+// on its first served invocation.
 type partial struct {
 	store  *monitor.Store
 	ledger *monitor.Ledger // per function
@@ -209,6 +212,16 @@ type partial struct {
 	reg    *obs.Registry
 	hist   *stats.Histogram
 	ex     *exemplars
+
+	// Handles into store, resolved once per shard (nil when telemetry is
+	// off): the built-in and per-SLO series, the arm-labeled built-ins
+	// and phase-labeled cost series (LabelSeries), and the chaos.* series
+	// (chaos replays).
+	sink     *monitor.SampleSink
+	armSinks map[string]*monitor.SampleSink
+	costInit *monitor.Series
+	costExec *monitor.Series
+	chaos    chaosSeries
 
 	invocations uint64
 	coldStarts  uint64
@@ -237,7 +250,56 @@ func newPartial(cfg *Config) *partial {
 	p.reg = obs.NewRegistry()
 	p.hist = stats.NewHistogram()
 	p.ex = newExemplars(cfg.Exemplars, cfg.Seed)
+	p.sink = p.store.Sink(cfg.SLOs)
+	if cfg.LabelSeries {
+		p.armSinks = make(map[string]*monitor.SampleSink)
+		// The ledger's pro-rata init/handler split, re-recorded as
+		// queryable time series.
+		p.costInit = p.store.Handle(monitor.LabeledSeries("cost.usd", monitor.Label{Key: "phase", Val: "init"}))
+		p.costExec = p.store.Handle(monitor.LabeledSeries("cost.usd", monitor.Label{Key: "phase", Val: "handler"}))
+	}
+	if cfg.chaosEngine != nil {
+		p.chaos = newChaosSeries(p.store)
+	}
 	return p
+}
+
+// armSink returns the shard's arm-labeled sink, nil unless LabelSeries
+// records labeled series for this arm.
+func (p *partial) armSink(arm string) *monitor.SampleSink {
+	if p.armSinks == nil || arm == "" {
+		return nil
+	}
+	k, ok := p.armSinks[arm]
+	if !ok {
+		k = p.store.Sink(nil, monitor.Label{Key: "arm", Val: arm})
+		p.armSinks[arm] = k
+	}
+	return k
+}
+
+// finish closes the block on its worker: the registry takes the shard's
+// counts once, and the recording rules sweep the shard.
+func (p *partial) finish(cfg *Config) {
+	if cfg.DisableTelemetry {
+		return
+	}
+	if p.invocations > 0 {
+		p.reg.Inc("fleet.invocations", int64(p.invocations))
+	}
+	if p.coldStarts > 0 {
+		p.reg.Inc("fleet.cold_starts", int64(p.coldStarts))
+	}
+	// Recording rules run here, on the worker, while the block's shard is
+	// still private: each shard sweeps the boundaries its own block
+	// reached, and the per-shard rule series then merge window-wise like
+	// any other series. Rule bodies are restricted to the distributive
+	// fragment (query.ParseRules), so the merged series equals the global
+	// rule value — and the sweep depends only on the block partition,
+	// never on the worker count.
+	if len(cfg.Rules) > 0 {
+		query.EvalRules(p.store, cfg.Rules, p.latest)
+	}
 }
 
 // merge folds o into p. Call order across partials must be block-index
@@ -289,13 +351,74 @@ func (p *partial) chaosArm(arm string) *chaos.ArmStats {
 	return s
 }
 
-// Phase-labeled cost series (LabelSeries): the ledger's pro-rata init/
-// handler split, re-recorded as queryable time series. Package-level so
-// the canonical encoding is paid once per process, not per invocation.
-var (
-	costInitSeries = monitor.LabeledSeries("cost.usd", monitor.Label{Key: "phase", Val: "init"})
-	costExecSeries = monitor.LabeledSeries("cost.usd", monitor.Label{Key: "phase", Val: "handler"})
-)
+// fnSink is one function's view of its block's shard during the replay.
+type fnSink struct {
+	p     *partial
+	fn    *Function
+	arm   *monitor.SampleSink
+	fnKey uint64
+	// rows are the function's ledger buckets (function, arm, and
+	// archetype/arm; nil where the function has no arm or archetype),
+	// resolved on its first served invocation so a function that never
+	// serves adds no ledger row.
+	rows     [3]*monitor.Phase
+	resolved bool
+}
+
+func newFnSink(cfg *Config, fn *Function, p *partial) fnSink {
+	return fnSink{p: p, fn: fn, arm: p.armSink(fn.Arm), fnKey: exemplarFnKey(cfg.Seed, fn.ID)}
+}
+
+// served folds the function's seq-th served invocation, completed at
+// virtual time at, into every telemetry accumulator of the shard.
+func (f *fnSink) served(at time.Duration, s *monitor.Sample, seq uint64) {
+	p := f.p
+	p.sink.Fold(at, s)
+	f.arm.Fold(at, s)
+	// Pro-rata duration-bill split, mirroring Phase.Add: the same dollars
+	// the ledger attributes to init/handler, as series mql can window and
+	// ratio (LabelSeries only; the handles are nil otherwise).
+	if p.costInit != nil && s.Billed > 0 && s.CostUSD > 0 {
+		if s.BilledInit > 0 {
+			p.costInit.Record(at, s.CostUSD*float64(s.BilledInit)/float64(s.Billed))
+		}
+		if s.BilledExec > 0 {
+			p.costExec.Record(at, s.CostUSD*float64(s.BilledExec)/float64(s.Billed))
+		}
+	}
+	if !f.resolved {
+		f.resolved = true
+		fn := f.fn
+		f.rows[0] = p.ledger.Bucket(fn.Name)
+		if fn.Arm != "" {
+			f.rows[1] = p.arms.Bucket(fn.Arm)
+			if fn.Archetype != "" {
+				f.rows[2] = p.arch.Bucket(fn.Archetype + "/" + fn.Arm)
+			}
+		}
+	}
+	for _, ph := range f.rows {
+		if ph != nil {
+			ph.Add(s)
+		}
+	}
+	p.hist.Observe(s.E2E.Seconds())
+	key := exemplarSampleKey(f.fnKey, seq)
+	e := Exemplar{
+		Function:  f.fn.Name,
+		Archetype: f.fn.Archetype,
+		Arm:       f.fn.Arm,
+		At:        at,
+		Init:      s.Init,
+		E2E:       s.E2E,
+		CostUSD:   s.CostUSD,
+		Cold:      s.Cold,
+		seq:       seq,
+		key:       key,
+		span:      exemplarSpanKey(key),
+	}
+	p.ex.offer(&e)
+}
 
 // replayFunction streams one function's arrivals through the keep-alive
 // pool and folds every served invocation into the block's shard. Under a
@@ -307,15 +430,7 @@ func replayFunction(cfg *Config, fn *Function, p *partial) {
 	}
 	next := fn.arrivalSource(cfg.Period)
 	var seq uint64
-	fnKey := exemplarFnKey(cfg.Seed, fn.ID)
-	// Labeled series names are per label set, not per sample: build them
-	// before the arrival loop so the replay's hot path never allocates a
-	// name.
-	var armNames *monitor.SeriesNames
-	if cfg.LabelSeries && !cfg.DisableTelemetry && fn.Arm != "" {
-		names := monitor.NamedSeries(monitor.Label{Key: "arm", Val: fn.Arm})
-		armNames = &names
-	}
+	sink := newFnSink(cfg, fn, p)
 	res := trace.SimulatePoolStream(next, fn.Exec, cfg.KeepAlive, func(ev trace.PoolEvent) {
 		var init time.Duration
 		if ev.Cold {
@@ -348,52 +463,7 @@ func replayFunction(cfg *Config, fn *Function, p *partial) {
 			MemoryMB:   fn.MemoryMB,
 			CostUSD:    cfg.Pricing.Cost(billed, fn.MemoryMB),
 		}
-		monitor.FoldSample(p.store, at, s, cfg.SLOs)
-		if cfg.LabelSeries {
-			if armNames != nil {
-				monitor.FoldSampleInto(p.store, at, s, *armNames)
-			}
-			// Pro-rata duration-bill split, mirroring Phase.add: the
-			// same dollars the ledger attributes to init/handler, as
-			// series mql can window and ratio.
-			if s.Billed > 0 && s.CostUSD > 0 {
-				if s.BilledInit > 0 {
-					p.store.Record(costInitSeries, at, s.CostUSD*float64(s.BilledInit)/float64(s.Billed))
-				}
-				if s.BilledExec > 0 {
-					p.store.Record(costExecSeries, at, s.CostUSD*float64(s.BilledExec)/float64(s.Billed))
-				}
-			}
-		}
-		p.ledger.Record(s)
-		if fn.Arm != "" {
-			armed := s
-			armed.Function = fn.Arm
-			p.arms.Record(armed)
-			if fn.Archetype != "" {
-				armed.Function = fn.Archetype + "/" + fn.Arm
-				p.arch.Record(armed)
-			}
-		}
-		p.hist.Observe(s.E2E.Seconds())
-		p.reg.Inc("fleet.invocations", 1)
-		if ev.Cold {
-			p.reg.Inc("fleet.cold_starts", 1)
-		}
-		key := exemplarSampleKey(fnKey, seq)
-		p.ex.offer(Exemplar{
-			Function:  fn.Name,
-			Archetype: fn.Archetype,
-			Arm:       fn.Arm,
-			At:        at,
-			Init:      init,
-			E2E:       e2e,
-			CostUSD:   s.CostUSD,
-			Cold:      ev.Cold,
-			seq:       seq,
-			key:       key,
-			span:      exemplarSpanKey(key),
-		})
+		sink.served(at, &s, seq)
 		seq++
 	})
 	if res.MaxInstances > p.peakLive {
@@ -476,9 +546,9 @@ func Replay(cfg Config, fns []Function) (*Result, error) {
 		}
 		cfg.chaosEngine = eng
 	}
-	// Pre-apply SLO defaults once: FoldSample needs the final parameters
-	// to route per-SLO bad series, and EvaluateSLOs applies the same
-	// idempotent defaults again.
+	// Pre-apply SLO defaults once: the shard sinks need the final
+	// parameters to route per-SLO bad series, and EvaluateSLOs applies the
+	// same idempotent defaults again.
 	slos := make([]monitor.SLO, 0, len(cfg.SLOs))
 	for _, def := range cfg.SLOs {
 		slos = append(slos, def.WithDefaults(cfg.Resolution))
@@ -515,17 +585,7 @@ func Replay(cfg Config, fns []Function) (*Result, error) {
 				for i := lo; i < hi; i++ {
 					replayFunction(&cfg, &fns[i], p)
 				}
-				// Recording rules run here, on the worker, while the
-				// block's shard is still private: each shard sweeps the
-				// boundaries its own block reached, and the per-shard rule
-				// series then merge window-wise like any other series.
-				// Rule bodies are restricted to the distributive fragment
-				// (query.ParseRules), so the merged series equals the
-				// global rule value — and the sweep depends only on the
-				// block partition, never on the worker count.
-				if len(cfg.Rules) > 0 && !cfg.DisableTelemetry {
-					query.EvalRules(p.store, cfg.Rules, p.latest)
-				}
+				p.finish(&cfg)
 				parts[b] = p
 				close(done[b])
 			}

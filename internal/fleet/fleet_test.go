@@ -400,16 +400,19 @@ func TestExemplarSetsOrderIndependent(t *testing.T) {
 	perm := rand.New(rand.NewSource(5)).Perm(n)
 	fwd, shuf := newExemplars(7, 1), newExemplars(7, 1)
 	for i := 0; i < n; i++ {
-		fwd.offer(mk(i))
-		shuf.offer(mk(perm[i]))
+		a, b := mk(i), mk(perm[i])
+		fwd.offer(&a)
+		shuf.offer(&b)
 	}
 	// A third copy built by merging two halves.
 	left, right := newExemplars(7, 1), newExemplars(7, 1)
-	for i := 0; i < n/2; i++ {
-		left.offer(mk(i))
-	}
-	for i := n / 2; i < n; i++ {
-		right.offer(mk(i))
+	for i := 0; i < n; i++ {
+		e := mk(i)
+		if i < n/2 {
+			left.offer(&e)
+		} else {
+			right.offer(&e)
+		}
 	}
 	left.merge(right)
 	for _, pair := range []struct {

@@ -83,3 +83,35 @@ func TestReplayMemoryFlat(t *testing.T) {
 			smallGrowth, largeGrowth, limit)
 	}
 }
+
+// TestReplayAllocsPerInvocation pins the telemetry hot path's allocation
+// budget: with the shard sinks, ledger buckets, and exemplar sets written
+// through single-writer handles, a telemetry-on replay allocates per
+// function and per shard, never per invocation. A single escaping value
+// or string build in the per-invocation fold costs at least one object
+// per invocation and fails the bound.
+func TestReplayAllocsPerInvocation(t *testing.T) {
+	pop := GeneratePopulation(PopConfig{
+		Functions: 300, Period: 24 * time.Hour, Seed: 2,
+		DebloatedFraction: 0.5, RateMedian: 200, RateSigma: 1.5, RateCap: 30000,
+	}, testArchetypes())
+	cfg := testConfig(1)
+	cfg.Period = 24 * time.Hour
+	cfg.Blocks = 4
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Replay(cfg, pop)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Invocations < 50_000 {
+		t.Fatalf("replay too small to measure: %d invocations", res.Invocations)
+	}
+	perInv := float64(after.Mallocs-before.Mallocs) / float64(res.Invocations)
+	t.Logf("%d invocations, %.3f allocs/invocation", res.Invocations, perInv)
+	if perInv >= 0.25 {
+		t.Errorf("telemetry-on replay allocates %.3f objects per invocation, want < 0.25", perInv)
+	}
+}

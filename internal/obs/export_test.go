@@ -12,6 +12,12 @@ import (
 // (a→b while b→a) plus mid-merge snapshots must neither deadlock nor race.
 // Run with -race; the pre-fix implementation held both registry locks at
 // once and could deadlock on acquisition order.
+//
+// Every cross-merge adds one side's counters into the other, so counters
+// grow geometrically with the merge count: at most 2x per merge, and 400
+// merges wrapped int64 and failed the retention check below. Merging on
+// every 10th iteration (40 merges in all, so counters stay below
+// 400·2^40) keeps the check meaningful.
 func TestRegistryMergeConcurrent(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	var wg sync.WaitGroup
@@ -22,7 +28,9 @@ func TestRegistryMergeConcurrent(t *testing.T) {
 			for j := 0; j < 50; j++ {
 				a.Inc("n", 1)
 				a.Observe("lat", 0.001)
-				a.Merge(b)
+				if j%10 == 0 {
+					a.Merge(b)
+				}
 			}
 		}()
 		go func() {
@@ -30,7 +38,9 @@ func TestRegistryMergeConcurrent(t *testing.T) {
 			for j := 0; j < 50; j++ {
 				b.Inc("n", 1)
 				b.Observe("lat", 0.002)
-				b.Merge(a)
+				if j%10 == 0 {
+					b.Merge(a)
+				}
 			}
 		}()
 		go func() {

@@ -13,6 +13,10 @@ import (
 // methods are nil-safe and safe for concurrent use; every accumulation is
 // order-independent (sums and bucket counts), so concurrent writers — the
 // one concurrent producer is parallel DD — cannot perturb determinism.
+// Unlike monitor.Store and monitor.Ledger, a Registry hands out no
+// lock-free single-writer handles: every call takes the lock, so a
+// high-rate producer adds totals (the fleet replay adds each shard's
+// counts once) rather than calling Inc per event.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]int64

@@ -2,73 +2,99 @@ package monitor
 
 import "time"
 
-// FoldSample records one invocation sample into a bare Store exactly the way
-// Monitor.Observe does: the shared req.total/req.error/req.cold/cost.usd
-// series plus one bad-event series per objective that carries its own
-// threshold. It is the streaming half of the monitor split out for sharded
-// replay: per-worker stores fed through FoldSample and merged in a fixed
-// order hold byte-for-byte the same rollups a single Monitor observing the
-// global sample sequence would hold, because every series value is a
-// per-sample add and windows partition samples by time.
+// SampleSink folds samples into one label set's built-in series
+// (req.total/req.error/req.cold/cost.usd) plus one bad-event series per
+// objective that carries its own threshold. It is the streaming half of
+// the monitor split out for sharded replay: per-worker stores fed through
+// sinks and merged in a fixed order hold byte-for-byte the same rollups a
+// single Monitor observing the global sample sequence would hold, because
+// every series value is a per-sample add and windows partition samples by
+// time.
 //
-// slos should already carry their final parameters (withDefaults does not
-// affect which series a sample lands in, so applying it is optional here).
-func FoldSample(st *Store, at time.Duration, s Sample, slos []SLO) {
-	if st == nil {
-		return
+// A sink writes through single-writer handles, so it carries the Handle
+// contract: its holder must be the store's only user while it folds, or
+// hold the store's lock. Fold is the one sample-to-series routing: the
+// fleet shards, Monitor, and FoldSample all go through it.
+type SampleSink struct {
+	total, errors, cold, cost Series
+	bad                       []sloSeries
+}
+
+// sloSeries is one objective's bad-event series.
+type sloSeries struct {
+	def SLO
+	h   Series
+}
+
+// Sink returns a sample sink over the built-in series under the given
+// labels; the label encoding is paid here, once, not per sample. Each
+// objective whose bad events have their own series (latency,
+// per-invocation cost, availability) adds one handle; the others count
+// the shared series. slos should already carry their final parameters
+// (withDefaults does not affect which series a sample lands in, so
+// applying it is optional here). Objectives are fleet-wide, so labeled
+// sinks pass none. Nil on a nil store.
+func (s *Store) Sink(slos []SLO, labels ...Label) *SampleSink {
+	if s == nil {
+		return nil
 	}
-	st.Record(seriesTotal, at, s.E2E.Seconds())
-	if s.Class != "ok" {
-		st.Record(seriesErrors, at, 1)
+	handle := func(family string) Series {
+		return Series{st: s, name: LabeledSeries(family, labels...)}
 	}
-	if s.Cold {
-		st.Record(seriesCold, at, 1)
+	k := &SampleSink{
+		total:  handle(seriesTotal),
+		errors: handle(seriesErrors),
+		cold:   handle(seriesCold),
+		cost:   handle(seriesCost),
 	}
-	st.Record(seriesCost, at, s.CostUSD)
 	for _, def := range slos {
 		switch def.Kind {
 		case KindErrorRate, KindColdFraction, KindCostRate:
 			// shared series above
 		default:
-			if def.bad(s) {
-				st.Record(def.badSeries(), at, 1)
-			}
+			k.bad = append(k.bad, sloSeries{def: def, h: Series{st: s, name: def.badSeries()}})
+		}
+	}
+	return k
+}
+
+// Fold records one invocation sample completed at virtual time at.
+func (k *SampleSink) Fold(at time.Duration, s *Sample) {
+	if k == nil {
+		return
+	}
+	k.total.Record(at, s.E2E.Seconds())
+	if s.Class != "ok" {
+		k.errors.Record(at, 1)
+	}
+	if s.Cold {
+		k.cold.Record(at, 1)
+	}
+	k.cost.Record(at, s.CostUSD)
+	for i := range k.bad {
+		if b := &k.bad[i]; b.def.bad(s) {
+			b.h.Record(at, 1)
 		}
 	}
 }
 
-// SeriesNames binds the built-in sample series to one precomputed label
-// set: high-rate producers (the fleet replay folds millions of samples) pay
-// the LabeledSeries encoding once per label set instead of once per sample.
-type SeriesNames struct {
-	Total, Errors, Cold, Cost string
+// FoldSample records one sample into a bare Store exactly the way
+// Monitor.Observe does, under the store's lock: a one-shot sink over the
+// built-in series and the objectives' bad series. High-rate producers
+// hold a Sink instead.
+func FoldSample(st *Store, at time.Duration, s *Sample, slos []SLO) {
+	st.lockedFold(st.Sink(slos), at, s)
 }
 
-// NamedSeries precomputes the built-in series names for a label set.
-func NamedSeries(labels ...Label) SeriesNames {
-	return SeriesNames{
-		Total:  LabeledSeries(seriesTotal, labels...),
-		Errors: LabeledSeries(seriesErrors, labels...),
-		Cold:   LabeledSeries(seriesCold, labels...),
-		Cost:   LabeledSeries(seriesCost, labels...),
-	}
-}
-
-// FoldSampleInto records one sample into a precomputed labeled series set,
-// mirroring FoldSample's built-in series. Per-SLO bad series stay
-// unlabeled (objectives are fleet-wide), so they are not duplicated here.
-func FoldSampleInto(st *Store, at time.Duration, s Sample, names SeriesNames) {
-	if st == nil {
+// lockedFold folds through k while holding the store's lock, which is
+// what lets a sink serve callers that share the store.
+func (s *Store) lockedFold(k *SampleSink, at time.Duration, smp *Sample) {
+	if s == nil {
 		return
 	}
-	st.Record(names.Total, at, s.E2E.Seconds())
-	if s.Class != "ok" {
-		st.Record(names.Errors, at, 1)
-	}
-	if s.Cold {
-		st.Record(names.Cold, at, 1)
-	}
-	st.Record(names.Cost, at, s.CostUSD)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	k.Fold(at, smp)
 }
 
 // burnOver computes an objective's burn rate over the trailing window ending

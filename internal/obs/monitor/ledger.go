@@ -39,7 +39,10 @@ func (p Phase) CostUSD() float64 {
 	return p.InitUSD + p.ExecUSD + p.IdleUSD + p.RestoreUSD
 }
 
-func (p *Phase) add(s Sample) {
+// Add attributes one invocation sample to the bucket. A bucket from
+// Ledger.Bucket takes no lock: it has the same single-writer contract as
+// a Store handle (see Ledger.Bucket).
+func (p *Phase) Add(s *Sample) {
 	p.Invocations++
 	if s.Cold {
 		p.ColdStarts++
@@ -83,7 +86,8 @@ func (p *Phase) merge(o Phase) {
 
 // Ledger aggregates per-invocation cost decompositions per function,
 // answering "where does the money go" as a first-class query. Safe for
-// concurrent use; all read-out is name-sorted and deterministic.
+// concurrent use, except through the buckets Bucket hands out; all
+// read-out is name-sorted and deterministic.
 type Ledger struct {
 	mu    sync.Mutex
 	perFn map[string]*Phase
@@ -92,19 +96,38 @@ type Ledger struct {
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger { return &Ledger{perFn: make(map[string]*Phase)} }
 
-// Record attributes one invocation sample.
-func (l *Ledger) Record(s Sample) {
+// Record attributes one invocation sample to its function's bucket.
+func (l *Ledger) Record(s *Sample) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ph, ok := l.perFn[s.Function]
+	l.bucketLocked(s.Function).Add(s)
+}
+
+// Bucket returns the named row's bucket, creating the row: from then on
+// it is listed by Functions and folded by Total and Merge. Adding to the
+// bucket takes no lock, so its holder must be the ledger's only user
+// while it adds — the fleet replay resolves a function's buckets on its
+// first served invocation inside a shard-private ledger, so a function
+// that never serves adds no row. Nil on a nil ledger.
+func (l *Ledger) Bucket(name string) *Phase {
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.bucketLocked(name)
+}
+
+func (l *Ledger) bucketLocked(name string) *Phase {
+	ph, ok := l.perFn[name]
 	if !ok {
 		ph = &Phase{}
-		l.perFn[s.Function] = ph
+		l.perFn[name] = ph
 	}
-	ph.add(s)
+	return ph
 }
 
 // Functions returns the attributed function names, sorted.
@@ -177,12 +200,7 @@ func (l *Ledger) Merge(o *Ledger) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, sn := range snaps {
-		ph, ok := l.perFn[sn.name]
-		if !ok {
-			ph = &Phase{}
-			l.perFn[sn.name] = ph
-		}
-		ph.merge(sn.ph)
+		l.bucketLocked(sn.name).merge(sn.ph)
 	}
 }
 

@@ -73,12 +73,12 @@ type Monitor struct {
 	store  *Store
 	ledger *Ledger
 	states []sloState
-	defs   []SLO // states[i].def, for FoldSample
+	sink   *SampleSink // built-in and per-SLO series
 	alerts []AlertEvent
 	frames []string
 	hist   *stats.Histogram // cumulative E2E seconds
 
-	labeled map[string]SeriesNames // per-function labeled series names (LabelSeries)
+	labeled map[string]*SampleSink // per-function labeled sinks (LabelSeries)
 
 	nextTick  time.Duration
 	nextFrame time.Duration // negative when frames are disabled
@@ -105,11 +105,13 @@ func New(cfg Config) *Monitor {
 	if cfg.DashboardEvery > 0 {
 		m.nextFrame = cfg.DashboardEvery
 	}
+	defs := make([]SLO, 0, len(cfg.SLOs))
 	for _, def := range cfg.SLOs {
 		full := def.withDefaults(cfg.Resolution)
 		m.states = append(m.states, sloState{def: full})
-		m.defs = append(m.defs, full)
+		defs = append(defs, full)
 	}
+	m.sink = m.store.Sink(defs)
 	return m
 }
 
@@ -127,19 +129,21 @@ func (m *Monitor) Observe(at time.Duration, s Sample) {
 	if at > m.latest {
 		m.latest = at
 	}
-	FoldSample(m.store, at, s, m.defs)
+	// The monitor is its store's only writer (under m.mu); folding under
+	// the store's lock keeps concurrent readers of the store safe.
+	m.store.lockedFold(m.sink, at, &s)
 	if m.cfg.LabelSeries && s.Function != "" {
-		names, ok := m.labeled[s.Function]
+		k, ok := m.labeled[s.Function]
 		if !ok {
-			names = NamedSeries(Label{Key: "function", Val: s.Function})
+			k = m.store.Sink(nil, Label{Key: "function", Val: s.Function})
 			if m.labeled == nil {
-				m.labeled = make(map[string]SeriesNames)
+				m.labeled = make(map[string]*SampleSink)
 			}
-			m.labeled[s.Function] = names
+			m.labeled[s.Function] = k
 		}
-		FoldSampleInto(m.store, at, s, names)
+		m.store.lockedFold(k, at, &s)
 	}
-	m.ledger.Record(s)
+	m.ledger.Record(&s)
 	m.hist.Observe(s.E2E.Seconds())
 }
 

@@ -246,7 +246,7 @@ func TestEvaluateSLOsMatchesLiveMonitor(t *testing.T) {
 	var latest time.Duration
 	feed := func(ts time.Duration, smp Sample) {
 		m.Observe(ts, smp)
-		FoldSample(st, ts, smp, slos)
+		FoldSample(st, ts, &smp, slos)
 		if ts > latest {
 			latest = ts
 		}
@@ -337,7 +337,7 @@ func TestMultiWindowSuppressesShortBurst(t *testing.T) {
 
 func TestLedgerDecomposition(t *testing.T) {
 	l := NewLedger()
-	l.Record(Sample{
+	l.Record(&Sample{
 		Function: "f", Cold: true, Class: "ok",
 		BilledInit: 600 * time.Millisecond, BilledExec: 300 * time.Millisecond,
 		Billed: time.Second, CostUSD: 1e-6,
@@ -360,7 +360,7 @@ func TestLedgerDecomposition(t *testing.T) {
 		t.Errorf("phases do not sum to the bill: %v", total)
 	}
 	// Restore fee is attributed separately from duration dollars.
-	l.Record(Sample{Function: "g", Cold: true, Class: "ok",
+	l.Record(&Sample{Function: "g", Cold: true, Class: "ok",
 		BilledExec: time.Second, Billed: time.Second, CostUSD: 3e-7, RestoreFeeUSD: 1e-7})
 	g := l.Function("g")
 	if g.RestoreUSD != 1e-7 {
@@ -384,8 +384,8 @@ func TestLedgerMergeAndAttribution(t *testing.T) {
 	a, b := NewLedger(), NewLedger()
 	s := Sample{Function: "f", Cold: true, Class: "oom",
 		BilledInit: time.Second, Billed: time.Second, CostUSD: 2e-6}
-	a.Record(s)
-	b.Record(s)
+	a.Record(&s)
+	b.Record(&s)
 	a.Merge(b)
 	ph := a.Function("f")
 	if ph.Invocations != 2 || ph.Errors != 2 || ph.CostUSD() != 4e-6 {
@@ -457,7 +457,7 @@ func TestMonitorNilSafe(t *testing.T) {
 		t.Errorf("nil OpenMetrics = %q", got)
 	}
 	var l *Ledger
-	l.Record(Sample{})
+	l.Record(&Sample{})
 	l.Merge(NewLedger())
 	if l.RenderTable() != "" || l.Functions() != nil {
 		t.Error("nil ledger should be empty")

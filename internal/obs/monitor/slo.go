@@ -123,7 +123,7 @@ func (s SLO) badSeries() string {
 }
 
 // bad reports whether a sample violates the objective (ratio kinds only).
-func (s SLO) bad(sample Sample) bool {
+func (s SLO) bad(sample *Sample) bool {
 	switch s.Kind {
 	case KindLatency:
 		return sample.E2E > s.Threshold

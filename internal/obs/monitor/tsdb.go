@@ -76,7 +76,8 @@ type series struct {
 // buffer, with sum/count/max rollups. Two stores with the same geometry
 // merge window-wise, so per-worker stores can be folded in a fixed order
 // without changing any queryable value. All methods are nil-safe and safe
-// for concurrent use.
+// for concurrent use; the single-writer handles (Series, SampleSink) are
+// exempt — see Handle.
 type Store struct {
 	mu     sync.Mutex
 	res    time.Duration
@@ -144,7 +145,51 @@ func (s *Store) Record(name string, at time.Duration, v float64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	se := s.getSeries(name)
+	s.record(s.getSeries(name), at, v)
+}
+
+// Series is a single-writer handle on one named series of a Store: its
+// Record takes no lock and does no map lookup. A handle resolves its
+// series on its first Record, so a handle that is never written leaves no
+// series behind — Names and the exposition only list what was recorded.
+type Series struct {
+	st   *Store
+	name string
+	se   *series
+}
+
+// Handle returns a handle on the named series (nil on a nil store, and
+// recording into a nil handle is a no-op).
+//
+// Handles skip the store's lock, so they carry a contract the locked
+// methods do not: whoever records through a handle must be the store's
+// only user while it does — no other writer and no concurrent reader —
+// or must hold the store's lock (the package's own locked paths). The
+// fleet replay satisfies it by construction: every shard store is private
+// to the worker replaying its block until the block is handed to the
+// merger. Resolution is lazy so a producer can resolve every series it
+// might write up front without creating empty series it never writes.
+func (s *Store) Handle(name string) *Series {
+	if s == nil {
+		return nil
+	}
+	return &Series{st: s, name: name}
+}
+
+// Record lands one sample in the handle's series (see Store.Record).
+func (h *Series) Record(at time.Duration, v float64) {
+	if h == nil {
+		return
+	}
+	if h.se == nil {
+		h.se = h.st.getSeries(h.name)
+	}
+	h.st.record(h.se, at, v)
+}
+
+// record is the one ring-advance implementation behind Store.Record and
+// Series.Record.
+func (s *Store) record(se *series, at time.Duration, v float64) {
 	se.total.add(v)
 	w := s.windowIndex(at)
 	if se.latest >= 0 && w <= se.latest-int64(s.cap) {
