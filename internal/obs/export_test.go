@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -12,14 +13,9 @@ import (
 // (a→b while b→a) plus mid-merge snapshots must neither deadlock nor race.
 // Run with -race; the pre-fix implementation held both registry locks at
 // once and could deadlock on acquisition order.
-//
-// Every cross-merge adds one side's counters into the other, so counters
-// grow geometrically with the merge count: at most 2x per merge, and 400
-// merges wrapped int64 and failed the retention check below. Merging on
-// every 10th iteration (40 merges in all, so counters stay below
-// 400·2^40) keeps the check meaningful.
 func TestRegistryMergeConcurrent(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
+	var aSeq, bSeq atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(3)
@@ -28,9 +24,8 @@ func TestRegistryMergeConcurrent(t *testing.T) {
 			for j := 0; j < 50; j++ {
 				a.Inc("n", 1)
 				a.Observe("lat", 0.001)
-				if j%10 == 0 {
-					a.Merge(b)
-				}
+				a.Observe("a.seq", float64(aSeq.Add(1)))
+				a.Merge(b)
 			}
 		}()
 		go func() {
@@ -38,9 +33,8 @@ func TestRegistryMergeConcurrent(t *testing.T) {
 			for j := 0; j < 50; j++ {
 				b.Inc("n", 1)
 				b.Observe("lat", 0.002)
-				if j%10 == 0 {
-					b.Merge(a)
-				}
+				b.Observe("b.seq", float64(bSeq.Add(1)))
+				b.Merge(a)
 			}
 		}()
 		go func() {
@@ -54,12 +48,25 @@ func TestRegistryMergeConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	// Sanity only — the interleaving is nondeterministic, but each side
-	// must retain at least its own 200 increments.
-	if got := a.Counter("n"); got < 200 {
-		t.Errorf("a.n = %d, want >= 200", got)
-	}
-	if got := b.Counter("n"); got < 200 {
-		t.Errorf("b.n = %d, want >= 200", got)
+	// must retain its own 200 writes. Counters and bucket counts are no
+	// witness: every cross-merge adds one side's totals into the other, so
+	// they grow geometrically with the merge count and can wrap. A
+	// histogram's min and max do not compound, and a side's own sequence
+	// 1..200 is the only source of its ".seq" series — the other side
+	// holds at most a stale copy — so min 1 and max 200 survive a merge
+	// only if the destination keeps its own observations.
+	for _, c := range []struct {
+		r    *Registry
+		name string
+	}{{a, "a.seq"}, {b, "b.seq"}} {
+		h := c.r.Histogram(c.name)
+		if h == nil {
+			t.Errorf("%s: histogram missing", c.name)
+			continue
+		}
+		if h.Min() != 1 || h.Max() != 200 {
+			t.Errorf("%s: min %v max %v, want 1 and 200", c.name, h.Min(), h.Max())
+		}
 	}
 }
 

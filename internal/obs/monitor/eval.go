@@ -14,7 +14,7 @@ import "time"
 // A sink writes through single-writer handles, so it carries the Handle
 // contract: its holder must be the store's only user while it folds, or
 // hold the store's lock. Fold is the one sample-to-series routing: the
-// fleet shards, Monitor, and FoldSample all go through it.
+// fleet shards and Monitor both go through it.
 type SampleSink struct {
 	total, errors, cold, cost Series
 	bad                       []sloSeries
@@ -78,25 +78,6 @@ func (k *SampleSink) Fold(at time.Duration, s *Sample) {
 	}
 }
 
-// FoldSample records one sample into a bare Store exactly the way
-// Monitor.Observe does, under the store's lock: a one-shot sink over the
-// built-in series and the objectives' bad series. High-rate producers
-// hold a Sink instead.
-func FoldSample(st *Store, at time.Duration, s *Sample, slos []SLO) {
-	st.lockedFold(st.Sink(slos), at, s)
-}
-
-// lockedFold folds through k while holding the store's lock, which is
-// what lets a sink serve callers that share the store.
-func (s *Store) lockedFold(k *SampleSink, at time.Duration, smp *Sample) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k.Fold(at, smp)
-}
-
 // burnOver computes an objective's burn rate over the trailing window ending
 // at boundary T, reading the given store. Windows are clipped at the start
 // of the run so early evaluations use the data that exists instead of
@@ -139,7 +120,7 @@ func burnOver(st *Store, def SLO, T, window time.Duration) float64 {
 // the store so nothing slides out).
 //
 // This is what makes sharded replay's telemetry exact rather than
-// approximate: workers fold samples into private stores with FoldSample,
+// approximate: workers fold samples into private stores through sinks,
 // the stores merge window-wise in a fixed order, and the alert log is
 // recovered from the merged result byte-identically to a sequential run.
 func EvaluateSLOs(st *Store, slos []SLO, latest time.Duration) ([]AlertEvent, []SLOFireCount) {

@@ -131,7 +131,8 @@ func (m *Monitor) Observe(at time.Duration, s Sample) {
 	}
 	// The monitor is its store's only writer (under m.mu); folding under
 	// the store's lock keeps concurrent readers of the store safe.
-	m.store.lockedFold(m.sink, at, &s)
+	m.store.mu.Lock()
+	m.sink.Fold(at, &s)
 	if m.cfg.LabelSeries && s.Function != "" {
 		k, ok := m.labeled[s.Function]
 		if !ok {
@@ -141,8 +142,9 @@ func (m *Monitor) Observe(at time.Duration, s Sample) {
 			}
 			m.labeled[s.Function] = k
 		}
-		m.store.lockedFold(k, at, &s)
+		k.Fold(at, &s)
 	}
+	m.store.mu.Unlock()
 	m.ledger.Record(&s)
 	m.hist.Observe(s.E2E.Seconds())
 }
