@@ -16,10 +16,11 @@ race:
 check: fmt vet build test fuzz-smoke engine-smoke
 
 # fuzz-smoke: a few seconds of coverage-guided fuzzing on the parsers that
-# take operator-written specs (SLOs, canary stages) and on the differential
+# take operator-written specs (SLOs, canary stages), on the differential
 # compile/eval harness (walker vs compiled engine must agree byte-for-byte
-# on every observable). Seeds alone run in the normal test pass; this also
-# explores.
+# on every observable), and on the lazily seeded arrival source (must draw
+# exactly math/rand's stream for any seed). Seeds alone run in the normal
+# test pass; this also explores.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseSLOs -fuzztime $(FUZZTIME) -run xxx ./internal/obs/monitor
@@ -27,6 +28,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzCompileEval -fuzztime $(FUZZTIME) -run xxx ./internal/pyruntime
 	$(GO) test -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) -run xxx ./internal/obs/query
 	$(GO) test -fuzz FuzzParseIncidents -fuzztime $(FUZZTIME) -run xxx ./internal/chaos
+	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime $(FUZZTIME) -run xxx ./internal/trace
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

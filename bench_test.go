@@ -15,6 +15,7 @@ package repro
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -30,6 +31,7 @@ import (
 	"repro/internal/obs/query"
 	"repro/internal/profiler"
 	"repro/internal/pyruntime"
+	"repro/internal/trace"
 )
 
 var (
@@ -632,6 +634,30 @@ func BenchmarkFleet_Replay(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkArrivalSeed measures what a fleet member's arrival stream
+// costs to start: a fresh math/rand generator (rand.New(rand.NewSource),
+// which fills its 607-word state up front) plus one draw, against
+// reseeding one reusable trace.Stream in place (lazy, stream-identical
+// seeding) plus its first arrival, which draws at least two values.
+func BenchmarkArrivalSeed(b *testing.B) {
+	b.Run("stdlib", func(b *testing.B) {
+		b.ReportAllocs()
+		var sink float64
+		for i := 0; i < b.N; i++ {
+			sink += rand.New(rand.NewSource(int64(i))).ExpFloat64()
+		}
+		_ = sink
+	})
+	b.Run("reseed", func(b *testing.B) {
+		b.ReportAllocs()
+		var s trace.Stream
+		for i := 0; i < b.N; i++ {
+			s.Reset(int64(i), 50, 24*time.Hour)
+			s.Next()
+		}
+	})
 }
 
 // BenchmarkReliability_FaultedReplay measures the failure-semantics

@@ -31,7 +31,7 @@ func replayChaosFunction(cfg *Config, fn *Function, p *partial) {
 		MemoryMB:     fn.MemoryMB,
 	})
 	as := p.chaosArm(fn.Arm)
-	next := fn.arrivalSource(cfg.Period)
+	next := fn.arrivalSource(cfg.Period, &p.arrivals)
 	var seq uint64
 	sink := newFnSink(cfg, fn, p)
 	cs := &p.chaos // nil handles when telemetry is off

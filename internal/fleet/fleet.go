@@ -16,13 +16,14 @@
 // is part of the replay configuration.
 //
 // Telemetry is streaming: no per-invocation record is ever materialized.
-// Arrivals come from seeded per-function Poisson streams
-// (trace.ArrivalStream), pool state is bounded by peak concurrency
-// (trace.SimulatePoolStream), and every observation lands in mergeable
-// rollups (monitor.Store windows), phase ledgers, log-scale histograms,
-// and small fixed-size exemplar sets. Resident memory is therefore
-// proportional to blocks × windows, flat in the invocation count — a day
-// of millions of arrivals replays in seconds within a few tens of MB.
+// Arrivals come from seeded per-function Poisson streams (one
+// trace.Stream per shard, reseeded per function), pool state is bounded
+// by peak concurrency (trace.SimulatePoolStream), and every observation
+// lands in mergeable rollups (monitor.Store windows), phase ledgers,
+// log-scale histograms, and small fixed-size exemplar sets. Resident
+// memory is therefore proportional to blocks × windows, flat in the
+// invocation count — a day of millions of arrivals replays in seconds
+// within a few tens of MB.
 //
 // SLO alerting over the merged result is exact, not approximate: a
 // monitor boundary at T reads only windows strictly before T and windows
@@ -212,6 +213,10 @@ type partial struct {
 	reg    *obs.Registry
 	hist   *stats.Histogram
 	ex     *exemplars
+
+	// arrivals is the block's arrival generator, reseeded in place for
+	// each streamed function.
+	arrivals trace.Stream
 
 	// Handles into store, resolved once per shard (nil when telemetry is
 	// off): the built-in and per-SLO series, the arm-labeled built-ins
@@ -428,7 +433,7 @@ func replayFunction(cfg *Config, fn *Function, p *partial) {
 		replayChaosFunction(cfg, fn, p)
 		return
 	}
-	next := fn.arrivalSource(cfg.Period)
+	next := fn.arrivalSource(cfg.Period, &p.arrivals)
 	var seq uint64
 	sink := newFnSink(cfg, fn, p)
 	res := trace.SimulatePoolStream(next, fn.Exec, cfg.KeepAlive, func(ev trace.PoolEvent) {
@@ -475,8 +480,9 @@ func replayFunction(cfg *Config, fn *Function, p *partial) {
 }
 
 // arrivalSource returns the function's arrival iterator: the explicit
-// slice when present, the seeded Poisson stream otherwise.
-func (fn *Function) arrivalSource(period time.Duration) func() (time.Duration, bool) {
+// slice when present, otherwise the seeded Poisson stream, reseeded into
+// s.
+func (fn *Function) arrivalSource(period time.Duration, s *trace.Stream) func() (time.Duration, bool) {
 	if fn.Arrivals != nil {
 		arr := fn.Arrivals
 		i := 0
@@ -489,7 +495,8 @@ func (fn *Function) arrivalSource(period time.Duration) func() (time.Duration, b
 			return at, true
 		}
 	}
-	return trace.ArrivalStream(fn.Seed, fn.Rate, period)
+	s.Reset(fn.Seed, fn.Rate, period)
+	return s.Next
 }
 
 func validate(cfg *Config, fns []Function) error {

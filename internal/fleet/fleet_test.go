@@ -397,7 +397,7 @@ func TestExemplarSetsOrderIndependent(t *testing.T) {
 		}
 	}
 	const n = 4000
-	perm := rand.New(rand.NewSource(5)).Perm(n)
+	perm := rand.New(trace.NewSource(5)).Perm(n)
 	fwd, shuf := newExemplars(7, 1), newExemplars(7, 1)
 	for i := 0; i < n; i++ {
 		a, b := mk(i), mk(perm[i])

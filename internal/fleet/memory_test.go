@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // replayPeakGrowth replays pop and returns (peak GC'd heap growth over
@@ -113,5 +114,60 @@ func TestReplayAllocsPerInvocation(t *testing.T) {
 	t.Logf("%d invocations, %.3f allocs/invocation", res.Invocations, perInv)
 	if perInv >= 0.25 {
 		t.Errorf("telemetry-on replay allocates %.3f objects per invocation, want < 0.25", perInv)
+	}
+}
+
+// allocatedBytes returns the heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReplayBytesPerFunction pins the per-function cost of streamed
+// arrivals: each shard reseeds one trace.Stream in place per function, so
+// a telemetry-off replay allocates a few dozen bytes per function, not
+// the ~5.4 KB a fresh math/rand source per function costs.
+func TestReplayBytesPerFunction(t *testing.T) {
+	const n = 4000
+	pop := GeneratePopulation(PopConfig{
+		Functions: n, Period: 24 * time.Hour, Seed: 3,
+		DebloatedFraction: 0.5, RateMedian: 4, RateSigma: 1, RateCap: 1000,
+	}, testArchetypes())
+	cfg := Config{Workers: 2, Blocks: 8, Period: 24 * time.Hour, Seed: 3, DisableTelemetry: true}
+	var res *Result
+	var err error
+	perFn := float64(allocatedBytes(func() { res, err = Replay(cfg, pop) })) / n
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Invocations == 0 {
+		t.Fatal("replay served nothing")
+	}
+	t.Logf("%d functions, %d invocations, %.0f B/function", n, res.Invocations, perFn)
+	if perFn >= 1024 {
+		t.Errorf("telemetry-off replay allocates %.0f B per function, want < 1 KiB", perFn)
+	}
+}
+
+// TestGeneratePopulationBytesPerMember: the population generator reseeds
+// one source in place per member, so beyond the result slice a member
+// costs only its name string.
+func TestGeneratePopulationBytesPerMember(t *testing.T) {
+	const n = 4000
+	archs := testArchetypes()
+	pc := PopConfig{
+		Functions: n, Period: 24 * time.Hour, Seed: 4,
+		DebloatedFraction: 0.5, RateMedian: 12, RateSigma: 2.2, RateCap: 40000,
+	}
+	var pop []Function
+	total := allocatedBytes(func() { pop = GeneratePopulation(pc, archs) })
+	perMember := (float64(total) - float64(cap(pop))*float64(unsafe.Sizeof(Function{}))) / n
+	t.Logf("%d members, %.0f B/member beyond the result slice", n, perMember)
+	if perMember >= 256 {
+		t.Errorf("GeneratePopulation allocates %.0f B per member beyond its result, want < 256", perMember)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/appcorpus"
 	"repro/internal/faas"
+	"repro/internal/trace"
 )
 
 // Archetype is one corpus application reduced to the four observables the
@@ -109,9 +110,14 @@ func GeneratePopulation(pc PopConfig, archs []Archetype) []Function {
 		pc.Pricing = faas.AWSPricing()
 	}
 	fns := make([]Function, 0, pc.Functions)
+	// One generator for the whole loop, reseeded in place per member: the
+	// draws equal a freshly seeded math/rand source's, without building
+	// its 607-word state for every member.
+	src := trace.NewSource(0)
+	rng := rand.New(src)
 	for id := 0; id < pc.Functions; id++ {
 		h := exemplarFnKey(pc.Seed, id)
-		rng := rand.New(rand.NewSource(int64(h >> 1)))
+		src.Seed(int64(h >> 1))
 		a := archs[rng.Intn(len(archs))]
 		// One arm draw regardless of mix shape, so switching between
 		// DebloatedFraction and an equivalent ArmMix leaves every other

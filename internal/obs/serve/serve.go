@@ -64,7 +64,33 @@ func (s *Site) Handler() http.Handler {
 // caller owns process lifetime; there is no graceful-shutdown dance
 // because the server is a read-only viewer over an immutable result.
 func (s *Site) ListenAndServe(addr string) error {
-	return (&http.Server{Addr: addr, Handler: s.Handler()}).ListenAndServe()
+	return s.server(addr).ListenAndServe()
+}
+
+// The server's fixed timeouts. Every endpoint is a GET, so a client that
+// has not sent its headers within readHeaderTimeout (or its whole request
+// within readTimeout) is stalling, not uploading — the Slowloris pattern.
+// writeTimeout bounds one response; the SSE dashboard pushes the write
+// deadline forward per frame (see dashboard), so a paced stream may run
+// longer in total. idleTimeout reaps kept-alive connections between
+// requests.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// server is the site's one http.Server, with the fixed timeouts.
+func (s *Site) server(addr string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func (s *Site) index(w http.ResponseWriter, r *http.Request) {
@@ -135,11 +161,25 @@ func (s *Site) alerts(w http.ResponseWriter, _ *http.Request) {
 // one frame per event, then a terminal "done" event. SSE data lines must
 // not contain raw newlines, so multi-line frames become consecutive
 // data: lines (the SSE way to send one multi-line payload).
+//
+// The server's write timeout bounds each frame, not the whole stream:
+// before a frame, the connection's write deadline moves a full timeout
+// ahead, so a paced stream outlives it while a client that stops reading
+// is still cut off. (The read timeout does not apply here: net/http clears
+// the read deadline once the request is read.)
 func (s *Site) dashboard(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
 	fl, _ := w.(http.Flusher)
+	var perFrame time.Duration
+	if srv, ok := r.Context().Value(http.ServerContextKey).(*http.Server); ok {
+		perFrame = srv.WriteTimeout
+	}
+	rc := http.NewResponseController(w)
 	for i, frame := range s.Frames {
+		if perFrame > 0 {
+			rc.SetWriteDeadline(time.Now().Add(perFrame))
+		}
 		w.Write([]byte("id: " + strconv.Itoa(i) + "\nevent: frame\n"))
 		for _, line := range strings.Split(strings.TrimRight(frame, "\n"), "\n") {
 			w.Write([]byte("data: " + line + "\n"))

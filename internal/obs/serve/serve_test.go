@@ -152,3 +152,56 @@ func TestEmptySiteDegrades(t *testing.T) {
 		t.Fatalf("index code=%d body=%q", code, body)
 	}
 }
+
+// TestServerTimeouts: the site's server bounds every phase of a
+// connection, so a client trickling its request (Slowloris) or idling on a
+// kept-alive connection cannot hold it open indefinitely.
+func TestServerTimeouts(t *testing.T) {
+	srv := testSite().server(":0")
+	for name, d := range map[string]time.Duration{
+		"ReadHeaderTimeout": srv.ReadHeaderTimeout,
+		"ReadTimeout":       srv.ReadTimeout,
+		"WriteTimeout":      srv.WriteTimeout,
+		"IdleTimeout":       srv.IdleTimeout,
+	} {
+		if d <= 0 {
+			t.Errorf("%s = %v, want a positive timeout", name, d)
+		}
+	}
+	if srv.ReadHeaderTimeout > srv.ReadTimeout {
+		t.Errorf("ReadHeaderTimeout %v exceeds ReadTimeout %v", srv.ReadHeaderTimeout, srv.ReadTimeout)
+	}
+	if srv.Handler == nil || srv.Addr != ":0" {
+		t.Errorf("server not wired to the site: addr %q, handler %v", srv.Addr, srv.Handler)
+	}
+}
+
+// TestDashboardOutlivesTimeouts: a paced SSE stream longer than the
+// server's read and write timeouts still arrives whole, because the write
+// deadline moves forward per frame.
+func TestDashboardOutlivesTimeouts(t *testing.T) {
+	site := testSite()
+	site.Frames = []string{"a\n", "b\n", "c\n", "d\n", "e\n"}
+	site.FrameDelay = 100 * time.Millisecond
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = site.server("")
+	// The stream takes ~400ms.
+	ts.Config.ReadHeaderTimeout = 100 * time.Millisecond
+	ts.Config.ReadTimeout = 150 * time.Millisecond
+	ts.Config.WriteTimeout = 150 * time.Millisecond
+	ts.Start()
+	defer ts.Close()
+
+	res, err := ts.Client().Get(ts.URL + "/dashboard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	body, err := io.ReadAll(res.Body)
+	if err != nil {
+		t.Fatalf("stream cut after %d bytes: %v", len(body), err)
+	}
+	if !strings.HasSuffix(string(body), "event: done\ndata: 5 frames\n\n") {
+		t.Fatalf("stream incomplete: %q", body)
+	}
+}

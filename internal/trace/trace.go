@@ -89,42 +89,70 @@ func Generate(cfg GenConfig) *Trace {
 }
 
 // poissonArrivals samples a diurnally-modulated Poisson process with the
-// given expected total count over the period, by thinning.
+// given expected total count over the period, by thinning, drawing from
+// the caller's shared RNG.
 func poissonArrivals(rng *rand.Rand, expected float64, period time.Duration) []time.Duration {
 	var out []time.Duration
-	next := poissonStream(rng, expected, period)
-	for {
-		at, ok := next()
-		if !ok {
-			return out
-		}
+	s := Stream{rng: rng}
+	s.start(expected, period)
+	for at, ok := s.Next(); ok; at, ok = s.Next() {
 		out = append(out, at)
 	}
+	return out
 }
 
-// poissonStream is the streaming core of poissonArrivals: it yields the
-// same thinned, diurnally-modulated arrival sequence one offset at a time
-// (peak mid-period at 1.6x, trough at 0.4x — the day/night swing in the
-// Azure trace) without materializing the sequence.
-func poissonStream(rng *rand.Rand, expected float64, period time.Duration) func() (time.Duration, bool) {
-	base := expected / period.Seconds()
-	maxRate := base * 1.6
-	t := 0.0
-	limit := period.Seconds()
-	return func() (time.Duration, bool) {
-		if maxRate <= 0 {
+// Stream generates one function's diurnally-modulated Poisson arrivals by
+// thinning (peak mid-period at 1.6x, trough at 0.4x — the day/night swing
+// in the Azure trace), one offset at a time, without materializing the
+// sequence. A Stream is reusable: Reset reseeds its private Source in
+// place, so a replay worker can stream any number of functions through
+// one Stream without allocating per function. The zero Stream is ready
+// for Reset; it is not safe for concurrent use.
+type Stream struct {
+	rng *rand.Rand
+	// src is the private source Reset reseeds (nil until the first Reset,
+	// and on a stream drawing from a caller's shared RNG).
+	src *Source
+
+	base, maxRate, t, limit float64
+}
+
+// Reset restarts the stream as a fresh generator seeded with seed, with
+// the given expected total count over period. The draws are exactly those
+// of rand.New(rand.NewSource(seed)).
+func (s *Stream) Reset(seed int64, expected float64, period time.Duration) {
+	if s.src == nil {
+		s.src = NewSource(seed)
+		s.rng = rand.New(s.src)
+	} else {
+		s.src.Seed(seed)
+	}
+	s.start(expected, period)
+}
+
+// start rewinds the thinning state to the beginning of the period.
+func (s *Stream) start(expected float64, period time.Duration) {
+	s.base = expected / period.Seconds()
+	s.maxRate = s.base * 1.6
+	s.t = 0
+	s.limit = period.Seconds()
+}
+
+// Next yields the next arrival offset: sorted offsets within [0, period),
+// then (0, false) forever.
+func (s *Stream) Next() (time.Duration, bool) {
+	if s.maxRate <= 0 {
+		return 0, false
+	}
+	for {
+		s.t += s.rng.ExpFloat64() / s.maxRate
+		if s.t >= s.limit {
 			return 0, false
 		}
-		for {
-			t += rng.ExpFloat64() / maxRate
-			if t >= limit {
-				return 0, false
-			}
-			phase := 2 * math.Pi * t / limit
-			rate := base * (1 + 0.6*math.Sin(phase-math.Pi/2))
-			if rng.Float64() < rate/maxRate {
-				return time.Duration(t * float64(time.Second)), true
-			}
+		phase := 2 * math.Pi * s.t / s.limit
+		rate := s.base * (1 + 0.6*math.Sin(phase-math.Pi/2))
+		if s.rng.Float64() < rate/s.maxRate {
+			return time.Duration(s.t * float64(time.Second)), true
 		}
 	}
 }
@@ -136,9 +164,12 @@ func poissonStream(rng *rand.Rand, expected float64, period time.Duration) func(
 // replay can generate per-function workloads on any number of workers in
 // any order and still produce exactly the arrivals a sequential generation
 // would have produced — and it never materializes the sequence, so memory
-// stays flat no matter how hot the function is.
+// stays flat no matter how hot the function is. It is a fresh Stream's
+// Next; hot loops reuse one Stream through Reset instead.
 func ArrivalStream(seed int64, expected float64, period time.Duration) func() (time.Duration, bool) {
-	return poissonStream(rand.New(rand.NewSource(seed)), expected, period)
+	s := new(Stream)
+	s.Reset(seed, expected, period)
+	return s.Next
 }
 
 // PoolResult summarizes a keep-alive simulation of one function.
