@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test bench bench-smoke race experiments monitor-smoke rollout-smoke engine-smoke fleet-smoke query-smoke chaos-smoke fuzz-smoke
+.PHONY: check fmt vet build test bench bench-smoke race experiments monitor-smoke rollout-smoke engine-smoke fleet-smoke query-smoke chaos-smoke fuzz-smoke lambdabench-check
 
 ## race: the race-detector sweep CI runs on the concurrency-bearing
 ## packages (parallel DD, the corpus scheduler, the shared snapshot cache,
@@ -12,8 +12,15 @@ race:
 
 ## check: everything CI would run — formatting, vet, build, race-enabled
 ## tests, a short fuzz pass over the config parsers and the bytecode
-## compiler, and the cross-engine golden determinism smoke
-check: fmt vet build test fuzz-smoke engine-smoke
+## compiler, the cross-engine golden determinism smoke, and the benchmark
+## module compiled against this tree
+check: fmt vet build test fuzz-smoke engine-smoke lambdabench-check
+
+# lambdabench-check: the benchmark is its own module (replace repro => ../),
+# so ./... above never compiles it; vet and test it against this tree so a
+# change that breaks an API it calls fails here.
+lambdabench-check:
+	cd lambdabench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke: a few seconds of coverage-guided fuzzing on the parsers that
 # take operator-written specs (SLOs, canary stages), on the differential

@@ -321,7 +321,6 @@ func replayFleet(pricing faas.Pricing, cfg MonitorConfig) (FleetSummary, error) 
 		Workers:    workers,
 		Period:     cfg.FleetPeriod,
 		Resolution: cfg.FleetResolution,
-		Windows:    monitor.DefaultWindows,
 		KeepAlive:  cfg.FleetKeepAlive,
 		Pricing:    pricing,
 		Seed:       cfg.Seed,

@@ -2,7 +2,7 @@
 // partitions a population of thousands of serverless functions into
 // contiguous ID-ordered blocks, replays each block's keep-alive pool
 // dynamics on a private worker shard — each shard feeding its own
-// monitor.Store, cost ledgers, and obs.Registry — and folds the shard
+// monitor.Store and cost ledgers — and folds the shard
 // results back together in block order at the end of the replay.
 //
 // The engine's contract is byte-identity across worker counts. Every
@@ -18,7 +18,7 @@
 // Telemetry is streaming: no per-invocation record is ever materialized.
 // Arrivals come from seeded per-function Poisson streams (one
 // trace.Stream per shard, reseeded per function), pool state is bounded
-// by peak concurrency (trace.SimulatePoolStream), and every observation
+// by peak concurrency (trace.SimulatePoolGated), and every observation
 // lands in mergeable rollups (monitor.Store windows), phase ledgers,
 // log-scale histograms, and small fixed-size exemplar sets. Resident
 // memory is therefore proportional to blocks × windows, flat in the
@@ -41,7 +41,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/faas"
-	"repro/internal/obs"
 	"repro/internal/obs/monitor"
 	"repro/internal/obs/query"
 	"repro/internal/stats"
@@ -94,11 +93,11 @@ type Config struct {
 	Blocks int
 	// Period is the replay horizon for streamed arrivals.
 	Period time.Duration
-	// Resolution and Windows size the per-shard stores. Windows defaults
-	// to cover Period plus six hours of completion tail so nothing slides
-	// out of the ring and post-hoc SLO evaluation stays exact.
+	// Resolution is the shard stores' window size. Their rings hold
+	// Period plus a six-hour completion tail, so post-hoc SLO evaluation
+	// is exact; Replay fails rather than evaluate a store a sample fell
+	// out of.
 	Resolution time.Duration
-	Windows    int
 	// KeepAlive is the pool keep-alive policy (default 15 minutes).
 	KeepAlive time.Duration
 	// SLOs are evaluated over the merged store after the replay.
@@ -161,9 +160,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Resolution <= 0 {
 		cfg.Resolution = monitor.DefaultResolution
 	}
-	if cfg.Windows <= 0 {
-		cfg.Windows = int(cfg.Period/cfg.Resolution) + int(6*time.Hour/cfg.Resolution) + 1
-	}
 	if cfg.KeepAlive <= 0 {
 		cfg.KeepAlive = 15 * time.Minute
 	}
@@ -210,7 +206,6 @@ type partial struct {
 	ledger *monitor.Ledger // per function
 	arms   *monitor.Ledger // per arm
 	arch   *monitor.Ledger // per "archetype/arm"
-	reg    *obs.Registry
 	hist   *stats.Histogram
 	ex     *exemplars
 
@@ -248,11 +243,10 @@ func newPartial(cfg *Config) *partial {
 	if cfg.DisableTelemetry {
 		return p
 	}
-	p.store = monitor.NewStore(cfg.Resolution, cfg.Windows)
+	p.store = monitor.NewStore(cfg.Resolution, cfg.windows())
 	p.ledger = monitor.NewLedger()
 	p.arms = monitor.NewLedger()
 	p.arch = monitor.NewLedger()
-	p.reg = obs.NewRegistry()
 	p.hist = stats.NewHistogram()
 	p.ex = newExemplars(cfg.Exemplars, cfg.Seed)
 	p.sink = p.store.Sink(cfg.SLOs)
@@ -283,17 +277,11 @@ func (p *partial) armSink(arm string) *monitor.SampleSink {
 	return k
 }
 
-// finish closes the block on its worker: the registry takes the shard's
-// counts once, and the recording rules sweep the shard.
+// finish closes the block on its worker: the recording rules sweep the
+// shard.
 func (p *partial) finish(cfg *Config) {
 	if cfg.DisableTelemetry {
 		return
-	}
-	if p.invocations > 0 {
-		p.reg.Inc("fleet.invocations", int64(p.invocations))
-	}
-	if p.coldStarts > 0 {
-		p.reg.Inc("fleet.cold_starts", int64(p.coldStarts))
 	}
 	// Recording rules run here, on the worker, while the block's shard is
 	// still private: each shard sweeps the boundaries its own block
@@ -317,7 +305,6 @@ func (p *partial) merge(o *partial) error {
 	p.ledger.Merge(o.ledger)
 	p.arms.Merge(o.arms)
 	p.arch.Merge(o.arch)
-	p.reg.Merge(o.reg)
 	if p.hist != nil {
 		p.hist.Merge(o.hist)
 	}
@@ -436,7 +423,7 @@ func replayFunction(cfg *Config, fn *Function, p *partial) {
 	next := fn.arrivalSource(cfg.Period, &p.arrivals)
 	var seq uint64
 	sink := newFnSink(cfg, fn, p)
-	res := trace.SimulatePoolStream(next, fn.Exec, cfg.KeepAlive, func(ev trace.PoolEvent) {
+	res := trace.SimulatePoolGated(next, fn.Exec, cfg.KeepAlive, trace.PoolGate{}, func(ev trace.PoolEvent) {
 		var init time.Duration
 		if ev.Cold {
 			init = fn.ColdInit
@@ -499,6 +486,33 @@ func (fn *Function) arrivalSource(period time.Duration, s *trace.Stream) func() 
 	return s.Next
 }
 
+// completionTail is how far past Period the shard rings reach: streamed
+// arrivals fall inside Period, and a sample lands at its completion time.
+const completionTail = 6 * time.Hour
+
+// windows is the shard stores' ring capacity: every window from zero
+// through Period plus the completion tail.
+func (cfg *Config) windows() int {
+	return int(cfg.Period/cfg.Resolution) + int(completionTail/cfg.Resolution) + 1
+}
+
+// checkRing refuses a merged shard whose store no longer holds every
+// window of the replay: a sample dropped as too old for a ring, or a
+// newest sample past the ring's reach (which slid the replay's first
+// windows out), would make EvaluateSLOs diverge from a live monitor.
+func checkRing(cfg *Config, final *partial) error {
+	for _, name := range final.store.Names() {
+		if n := final.store.Dropped(name); n > 0 {
+			return fmt.Errorf("fleet: %d samples of series %q fell out of the %d-window store ring", n, name, cfg.windows())
+		}
+	}
+	if reach := time.Duration(cfg.windows()) * cfg.Resolution; final.latest >= reach {
+		return fmt.Errorf("fleet: a sample completed at %s, past the store ring's reach of %s (Period plus %s)",
+			final.latest, reach, completionTail)
+	}
+	return nil
+}
+
 func validate(cfg *Config, fns []Function) error {
 	if cfg.Period <= 0 {
 		streamed := false
@@ -553,9 +567,8 @@ func Replay(cfg Config, fns []Function) (*Result, error) {
 		}
 		cfg.chaosEngine = eng
 	}
-	// Pre-apply SLO defaults once: the shard sinks need the final
-	// parameters to route per-SLO bad series, and EvaluateSLOs applies the
-	// same idempotent defaults again.
+	// Pre-apply SLO defaults once so Result.SLOs reports the evaluated
+	// parameters; EvaluateSLOs applies the same idempotent defaults again.
 	slos := make([]monitor.SLO, 0, len(cfg.SLOs))
 	for _, def := range cfg.SLOs {
 		slos = append(slos, def.WithDefaults(cfg.Resolution))
@@ -638,12 +651,14 @@ func Replay(cfg Config, fns []Function) (*Result, error) {
 		Ledger:      final.ledger,
 		Arms:        final.arms,
 		Archetypes:  final.arch,
-		Registry:    final.reg,
 		Latency:     final.hist,
 		ArmFns:      final.armFns,
 		topK:        cfg.TopSpenders,
 	}
 	if !cfg.DisableTelemetry {
+		if err := checkRing(&cfg, final); err != nil {
+			return nil, err
+		}
 		res.Alerts, res.FireCounts = monitor.EvaluateSLOs(final.store, cfg.SLOs, final.latest)
 		if cfg.chaosEngine != nil {
 			res.Chaos = chaos.BuildScorecard(cfg.chaosEngine, final.store,

@@ -271,8 +271,7 @@ func TestReplayMatchesLiveMonitor(t *testing.T) {
 
 	res, err := Replay(Config{
 		Workers: 4, Blocks: 5, Period: 2 * time.Hour,
-		Resolution: time.Minute, Windows: monitor.DefaultWindows,
-		KeepAlive: keepAlive, Pricing: pricing, SLOs: slos,
+		Resolution: time.Minute, KeepAlive: keepAlive, Pricing: pricing, SLOs: slos,
 	}, fns)
 	if err != nil {
 		t.Fatal(err)
@@ -500,5 +499,67 @@ func TestReplayValidation(t *testing.T) {
 	}
 	if res.Invocations != 3 || res.Store != nil || res.CostUSD() != 0 {
 		t.Fatalf("telemetry-off replay: %+v", res)
+	}
+}
+
+// TestEmitSpansCountsTotals: the tracer's fleet counters are the
+// replay's own totals, and a zero total adds no counter.
+func TestEmitSpansCountsTotals(t *testing.T) {
+	pop := GeneratePopulation(PopConfig{
+		Functions: 100, Period: 2 * time.Hour, Seed: 5,
+		DebloatedFraction: 0.5, RateMedian: 30, RateSigma: 1.8, RateCap: 20000,
+	}, testArchetypes())
+	res, err := Replay(testConfig(2), pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New()
+	res.EmitSpans(tr)
+	if got := tr.Metrics().Counter("fleet.invocations"); got != int64(res.Invocations) || got == 0 {
+		t.Errorf("fleet.invocations = %d, want %d", got, res.Invocations)
+	}
+	if got := tr.Metrics().Counter("fleet.cold_starts"); got != int64(res.ColdStarts) || got == 0 {
+		t.Errorf("fleet.cold_starts = %d, want %d", got, res.ColdStarts)
+	}
+
+	idle, err := Replay(Config{Period: time.Hour}, []Function{{Name: "idle", Exec: time.Millisecond, MemoryMB: 128}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr = obs.New()
+	idle.EmitSpans(tr)
+	if c := tr.Metrics().Snapshot().Counters; len(c) != 0 {
+		t.Errorf("zero-invocation replay added counters %+v", c)
+	}
+}
+
+// TestReplayRefusesRingOverflow: explicit arrivals far past Period put
+// samples beyond the shard rings, so the merged store no longer holds the
+// whole replay and post-hoc SLO evaluation would silently diverge from a
+// live monitor. Replay must fail instead, whether the overflow drops a
+// later, older sample or only slides the first windows out.
+func TestReplayRefusesRingOverflow(t *testing.T) {
+	fn := func(id int, arrivals ...time.Duration) Function {
+		return Function{ID: id, Name: fmt.Sprintf("f%d", id), Exec: time.Second, MemoryMB: 128, Arrivals: arrivals}
+	}
+	cfg := Config{Blocks: 2, Period: 2 * time.Hour, Resolution: time.Minute, SLOs: DefaultSLOs()}
+	far := 30 * time.Hour
+	cases := []struct {
+		name string
+		fns  []Function
+		fail bool
+	}{
+		{"inside the tail", []Function{fn(0, 0, time.Hour), fn(1, time.Minute, 7*time.Hour)}, false},
+		{"drops an older sample", []Function{fn(0, 0), fn(1, far), fn(2, time.Minute)}, true},
+		{"slides the first windows", []Function{fn(0, 0, time.Hour), fn(1, time.Minute, far)}, true},
+	}
+	for _, tc := range cases {
+		_, err := Replay(cfg, tc.fns)
+		if tc.fail && err == nil {
+			t.Errorf("%s: want error, got nil", tc.name)
+		}
+		if !tc.fail && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"container/heap"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -36,14 +37,12 @@ type Result struct {
 	Latest time.Duration
 
 	// Store is the merged TSDB; Ledger/Arms/Archetypes the cost ledgers
-	// keyed by function, arm, and "archetype/arm"; Registry the merged
-	// shard counters; Latency the cumulative E2E histogram. All nil when
-	// the replay ran with DisableTelemetry.
+	// keyed by function, arm, and "archetype/arm"; Latency the cumulative
+	// E2E histogram. All nil when the replay ran with DisableTelemetry.
 	Store      *monitor.Store
 	Ledger     *monitor.Ledger
 	Arms       *monitor.Ledger
 	Archetypes *monitor.Ledger
-	Registry   *obs.Registry
 	Latency    *stats.Histogram
 
 	SLOs       []monitor.SLO
@@ -194,7 +193,7 @@ func renderFrames(cfg *Config, p *partial, alerts []monitor.AlertEvent) []string
 		}
 		firingStr := "-"
 		if len(names) > 0 {
-			sortStrings(names)
+			sort.Strings(names)
 			firingStr = strings.Join(names, ",")
 		}
 		frames = append(frames, fmt.Sprintf(
@@ -210,23 +209,13 @@ func renderFrames(cfg *Config, p *partial, alerts []monitor.AlertEvent) []string
 	return frames
 }
 
-// sortStrings is a tiny insertion sort: firing sets hold a handful of
-// names, not worth pulling sort into the hot path's import graph twice.
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
 // armNames returns the arm labels, sorted.
 func (r *Result) armNames() []string {
 	names := make([]string, 0, len(r.ArmFns))
 	for arm := range r.ArmFns {
 		names = append(names, arm)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	return names
 }
 
@@ -327,20 +316,6 @@ func (r *Result) Render() string {
 	return b.String()
 }
 
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func writeFamily(b *strings.Builder, name, typ string, lines ...string) {
-	b.WriteString("# TYPE ")
-	b.WriteString(name)
-	b.WriteByte(' ')
-	b.WriteString(typ)
-	b.WriteByte('\n')
-	for _, l := range lines {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
-}
-
 // exemplarFor attaches OpenMetrics exemplars to the exposition: the
 // slowest invocation rides req.total's max line and the priciest rides
 // cost.usd's, each carrying the function name and the span ID that
@@ -356,7 +331,7 @@ func (r *Result) exemplarFor(series, kind string) string {
 			return ""
 		}
 		e := xs[0]
-		return monitor.ExemplarAnnotation([]monitor.Label{
+		return obs.Exemplar([]obs.Label{
 			{Key: "function", Val: e.Function},
 			{Key: "span_id", Val: e.SpanID()},
 		}, v(e), e.At)
@@ -377,68 +352,29 @@ func (r *Result) exemplarFor(series, kind string) string {
 // per-arm attribution. Byte-stable for a fixed (Config minus Workers,
 // fns).
 func (r *Result) OpenMetrics() []byte {
-	var b strings.Builder
-	monitor.StoreFamilies(&b, r.Store, r.exemplarFor)
-
-	if len(r.FireCounts) > 0 {
-		firing := make([]string, 0, len(r.FireCounts))
-		fired := make([]string, 0, len(r.FireCounts))
-		for _, c := range r.FireCounts {
-			v := "0"
-			if c.Firing {
-				v = "1"
-			}
-			firing = append(firing, `lambdatrim_slo_firing{slo="`+c.Name+`"} `+v)
-			fired = append(fired, `lambdatrim_slo_fired_total{slo="`+c.Name+`"} `+strconv.Itoa(c.Fired))
-		}
-		writeFamily(&b, "lambdatrim_slo_firing", "gauge", firing...)
-		writeFamily(&b, "lambdatrim_slo_fired_total", "counter", fired...)
+	var e obs.Exposition
+	monitor.StoreFamilies(&e, r.Store, r.exemplarFor)
+	monitor.SummaryFamilies(&e, r.FireCounts, r.Latency, r.Ledger.Total())
+	e.Family("lambdatrim_fleet_functions", "gauge",
+		obs.Sample("lambdatrim_fleet_functions", nil, strconv.Itoa(r.Functions)))
+	e.Family("lambdatrim_fleet_invocations_total", "counter",
+		obs.Sample("lambdatrim_fleet_invocations_total", nil, strconv.FormatUint(r.Invocations, 10)))
+	e.Family("lambdatrim_fleet_cold_starts_total", "counter",
+		obs.Sample("lambdatrim_fleet_cold_starts_total", nil, strconv.FormatUint(r.ColdStarts, 10)))
+	fns := make([]string, 0, len(r.ArmFns))
+	invs := make([]string, 0, len(r.ArmFns))
+	cost := make([]string, 0, len(r.ArmFns))
+	for _, arm := range r.armNames() {
+		ph := r.Arms.Function(arm)
+		label := []obs.Label{{Key: "arm", Val: arm}}
+		fns = append(fns, obs.Sample("lambdatrim_fleet_arm_functions", label, strconv.Itoa(r.ArmFns[arm])))
+		invs = append(invs, obs.Sample("lambdatrim_fleet_arm_invocations_total", label, strconv.FormatUint(ph.Invocations, 10)))
+		cost = append(cost, obs.Sample("lambdatrim_fleet_arm_cost_usd", label, obs.FormatFloat(ph.CostUSD())))
 	}
-
-	if r.Latency != nil && r.Latency.Count() > 0 {
-		qs := []struct {
-			q float64
-			s string
-		}{{0.50, "0.5"}, {0.95, "0.95"}, {0.99, "0.99"}}
-		lines := make([]string, 0, len(qs))
-		for _, q := range qs {
-			lines = append(lines,
-				`lambdatrim_latency_seconds{quantile="`+q.s+`"} `+fmtFloat(r.Latency.Quantile(q.q)))
-		}
-		writeFamily(&b, "lambdatrim_latency_seconds", "gauge", lines...)
-	}
-
-	total := r.Ledger.Total()
-	if total.Invocations > 0 {
-		writeFamily(&b, "lambdatrim_cost_phase_usd", "gauge",
-			`lambdatrim_cost_phase_usd{phase="init"} `+fmtFloat(total.InitUSD),
-			`lambdatrim_cost_phase_usd{phase="handler"} `+fmtFloat(total.ExecUSD),
-			`lambdatrim_cost_phase_usd{phase="idle"} `+fmtFloat(total.IdleUSD),
-			`lambdatrim_cost_phase_usd{phase="restore"} `+fmtFloat(total.RestoreUSD))
-	}
-
-	writeFamily(&b, "lambdatrim_fleet_functions", "gauge",
-		"lambdatrim_fleet_functions "+strconv.Itoa(r.Functions))
-	writeFamily(&b, "lambdatrim_fleet_invocations_total", "counter",
-		"lambdatrim_fleet_invocations_total "+strconv.FormatUint(r.Invocations, 10))
-	writeFamily(&b, "lambdatrim_fleet_cold_starts_total", "counter",
-		"lambdatrim_fleet_cold_starts_total "+strconv.FormatUint(r.ColdStarts, 10))
-	if len(r.ArmFns) > 0 {
-		fns := make([]string, 0, len(r.ArmFns))
-		cost := make([]string, 0, len(r.ArmFns))
-		invs := make([]string, 0, len(r.ArmFns))
-		for _, arm := range r.armNames() {
-			ph := r.Arms.Function(arm)
-			fns = append(fns, `lambdatrim_fleet_arm_functions{arm="`+arm+`"} `+strconv.Itoa(r.ArmFns[arm]))
-			invs = append(invs, `lambdatrim_fleet_arm_invocations_total{arm="`+arm+`"} `+strconv.FormatUint(ph.Invocations, 10))
-			cost = append(cost, `lambdatrim_fleet_arm_cost_usd{arm="`+arm+`"} `+fmtFloat(ph.CostUSD()))
-		}
-		writeFamily(&b, "lambdatrim_fleet_arm_functions", "gauge", fns...)
-		writeFamily(&b, "lambdatrim_fleet_arm_invocations_total", "counter", invs...)
-		writeFamily(&b, "lambdatrim_fleet_arm_cost_usd", "gauge", cost...)
-	}
-	b.WriteString("# EOF\n")
-	return []byte(b.String())
+	e.Family("lambdatrim_fleet_arm_functions", "gauge", fns...)
+	e.Family("lambdatrim_fleet_arm_invocations_total", "counter", invs...)
+	e.Family("lambdatrim_fleet_arm_cost_usd", "gauge", cost...)
+	return e.Bytes()
 }
 
 // EmitSpans records a bounded span tree onto tr for the flamegraph
@@ -446,7 +382,8 @@ func (r *Result) OpenMetrics() []byte {
 // child per "archetype/arm" bucket (widest first) sized by its billed
 // duration, with init/exec/idle leaf phases — "where does the billed time
 // go" at a glance, a few dozen spans no matter how many invocations
-// replayed. The merged shard registry is folded into tr's metrics.
+// replayed. The invocation and cold-start totals are added to tr's
+// metrics as the fleet.invocations and fleet.cold_starts counters.
 func (r *Result) EmitSpans(tr *obs.Tracer) {
 	if tr == nil || r.Archetypes == nil {
 		return
@@ -492,7 +429,12 @@ func (r *Result) EmitSpans(tr *obs.Tracer) {
 	}
 	tr.End(root, total)
 	r.emitExemplarSpans(tr)
-	tr.Metrics().Merge(r.Registry)
+	if r.Invocations > 0 {
+		tr.Metrics().Inc("fleet.invocations", int64(r.Invocations))
+	}
+	if r.ColdStarts > 0 {
+		tr.Metrics().Inc("fleet.cold_starts", int64(r.ColdStarts))
+	}
 }
 
 // emitExemplarSpans records a second root holding one span per kept
@@ -538,7 +480,7 @@ func (r *Result) emitExemplarSpans(tr *obs.Tracer) {
 			obs.String("archetype", e.Archetype),
 			obs.String("arm", e.Arm),
 			obs.Bool("cold", e.Cold),
-			obs.Attr{Key: "cost_usd", Val: fmtFloat(e.CostUSD)},
+			obs.Attr{Key: "cost_usd", Val: obs.FormatFloat(e.CostUSD)},
 		)
 		if e.Init > 0 {
 			tr.StartChild(s, "init", "fleet.phase", start).Finish(start + e.Init)

@@ -1,6 +1,9 @@
 package monitor
 
-import "time"
+import (
+	"sort"
+	"time"
+)
 
 // SampleSink folds samples into one label set's built-in series
 // (req.total/req.error/req.cold/cost.usd) plus one bad-event series per
@@ -30,10 +33,9 @@ type sloSeries struct {
 // labels; the label encoding is paid here, once, not per sample. Each
 // objective whose bad events have their own series (latency,
 // per-invocation cost, availability) adds one handle; the others count
-// the shared series. slos should already carry their final parameters
-// (withDefaults does not affect which series a sample lands in, so
-// applying it is optional here). Objectives are fleet-wide, so labeled
-// sinks pass none. Nil on a nil store.
+// the shared series. slos need not carry their defaults: withDefaults
+// does not affect which series a sample lands in. Objectives are
+// fleet-wide, so labeled sinks pass none. Nil on a nil store.
 func (s *Store) Sink(slos []SLO, labels ...Label) *SampleSink {
 	if s == nil {
 		return nil
@@ -109,15 +111,90 @@ func burnOver(st *Store, def SLO, T, window time.Duration) float64 {
 	return frac / def.Budget
 }
 
+// sloState tracks one objective's evaluation state.
+type sloState struct {
+	def    SLO
+	firing bool
+	fired  int // fire transitions, for summaries
+}
+
+// sloMachine is the one alert state machine. At each resolution boundary
+// T it computes every objective's short- and long-window burn over a store
+// (burnOver), fires when both reach the objective's threshold, resolves
+// when either falls below it, and logs each transition as an AlertEvent.
+// The live Monitor steps it as its virtual clock crosses boundaries;
+// EvaluateSLOs steps it over a finished store.
+type sloMachine struct {
+	states []sloState
+	alerts []AlertEvent
+}
+
+// newSLOMachine starts every objective not firing, with zero fields taking
+// the defaults for the store resolution res.
+func newSLOMachine(slos []SLO, res time.Duration) sloMachine {
+	var sm sloMachine
+	for _, def := range slos {
+		sm.states = append(sm.states, sloState{def: def.withDefaults(res)})
+	}
+	return sm
+}
+
+// step evaluates every objective at boundary T over st and records the
+// transitions, in configuration order.
+func (sm *sloMachine) step(st *Store, T time.Duration) {
+	for i := range sm.states {
+		s := &sm.states[i]
+		burnS := burnOver(st, s.def, T, s.def.ShortWindow)
+		burnL := burnOver(st, s.def, T, s.def.LongWindow)
+		firing := burnS >= s.def.Burn && burnL >= s.def.Burn
+		if firing == s.firing {
+			continue
+		}
+		s.firing = firing
+		if firing {
+			s.fired++
+		}
+		sm.alerts = append(sm.alerts, AlertEvent{
+			At: T, SLO: s.def.Name, Firing: firing,
+			BurnShort: burnS, BurnLong: burnL,
+		})
+	}
+}
+
+// fireCounts reports per-objective fire counts in configuration order.
+func (sm *sloMachine) fireCounts() []SLOFireCount {
+	out := make([]SLOFireCount, 0, len(sm.states))
+	for _, s := range sm.states {
+		out = append(out, SLOFireCount{
+			Name: s.def.Name, Kind: s.def.Kind,
+			Fired: s.fired, Firing: s.firing,
+		})
+	}
+	return out
+}
+
+// firing returns the names of the currently-firing objectives, sorted.
+func (sm *sloMachine) firing() []string {
+	var out []string
+	for _, s := range sm.states {
+		if s.firing {
+			out = append(out, s.def.Name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // EvaluateSLOs replays the boundary-tick evaluation over a finished store:
 // every resolution boundary from the first one through the boundary that
 // closes the window holding `latest` (the newest sample time) is evaluated
 // in order, exactly as a live Monitor would have evaluated it while the
-// samples streamed in. The two are equivalent because a boundary at T only
-// reads windows strictly before T, and windows partition samples by
-// timestamp — so evaluating after the fact sees the same rollups the online
-// evaluation saw, provided the ring capacity covers the whole replay (size
-// the store so nothing slides out).
+// samples streamed in. The two are equivalent because both step the same
+// sloMachine, a boundary at T only reads windows strictly before T, and
+// windows partition samples by timestamp — so evaluating after the fact
+// sees the same rollups the online evaluation saw, provided no window has
+// slid out of the ring (fleet.Replay sizes its stores to hold the whole
+// replay and refuses to evaluate when a sample fell outside them).
 //
 // This is what makes sharded replay's telemetry exact rather than
 // approximate: workers fold samples into private stores through sinks,
@@ -128,41 +205,15 @@ func EvaluateSLOs(st *Store, slos []SLO, latest time.Duration) ([]AlertEvent, []
 	if res <= 0 || len(slos) == 0 {
 		return nil, nil
 	}
-	states := make([]sloState, 0, len(slos))
-	for _, def := range slos {
-		states = append(states, sloState{def: def.withDefaults(res)})
-	}
+	sm := newSLOMachine(slos, res)
 	if latest < 0 {
 		latest = 0
 	}
 	end := (latest/res + 1) * res
-	var alerts []AlertEvent
 	for T := res; T <= end; T += res {
-		for i := range states {
-			st_ := &states[i]
-			burnS := burnOver(st, st_.def, T, st_.def.ShortWindow)
-			burnL := burnOver(st, st_.def, T, st_.def.LongWindow)
-			firing := burnS >= st_.def.Burn && burnL >= st_.def.Burn
-			if firing != st_.firing {
-				st_.firing = firing
-				if firing {
-					st_.fired++
-				}
-				alerts = append(alerts, AlertEvent{
-					At: T, SLO: st_.def.Name, Firing: firing,
-					BurnShort: burnS, BurnLong: burnL,
-				})
-			}
-		}
+		sm.step(st, T)
 	}
-	counts := make([]SLOFireCount, 0, len(states))
-	for i := range states {
-		counts = append(counts, SLOFireCount{
-			Name: states[i].def.Name, Kind: states[i].def.Kind,
-			Fired: states[i].fired, Firing: states[i].firing,
-		})
-	}
-	return alerts, counts
+	return sm.alerts, sm.fireCounts()
 }
 
 // RenderAlertLog renders alert transitions as the canonical text log, one

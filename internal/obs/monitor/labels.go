@@ -3,6 +3,8 @@ package monitor
 import (
 	"sort"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // Labeled series.
@@ -20,11 +22,9 @@ import (
 // OpenMetrics exposition) split them back with SplitSeries. A name with no
 // '{' is an unlabeled series whose family is the whole name.
 
-// Label is one key=value pair of a labeled series name.
-type Label struct {
-	Key string
-	Val string
-}
+// Label is one key=value pair of a labeled series name — the exposition's
+// label type, so a decoded label set renders back through obs.LabelBlock.
+type Label = obs.Label
 
 // LabeledSeries canonically encodes a family plus labels as a store series
 // name: keys are sorted, values written verbatim (producers must not put
@@ -42,20 +42,7 @@ func LabeledSeries(family string, labels ...Label) string {
 		}
 		return ls[i].Val < ls[j].Val
 	})
-	var b strings.Builder
-	b.WriteString(family)
-	b.WriteByte('{')
-	for i, l := range ls {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteString(`="`)
-		b.WriteString(l.Val)
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
+	return family + obs.LabelBlock(ls)
 }
 
 // SplitSeries decodes a canonical series name into its family and label

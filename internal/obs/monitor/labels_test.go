@@ -1,18 +1,18 @@
 package monitor
 
 import (
-	"strconv"
-	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestLabeledSeriesCanonical(t *testing.T) {
 	if got := LabeledSeries("req.total"); got != "req.total" {
 		t.Fatalf("no labels: got %q", got)
 	}
-	a := LabeledSeries("req.total", Label{"function", "f1"}, Label{"arm", "debloated"})
-	b := LabeledSeries("req.total", Label{"arm", "debloated"}, Label{"function", "f1"})
+	a := LabeledSeries("req.total", Label{Key: "function", Val: "f1"}, Label{Key: "arm", Val: "debloated"})
+	b := LabeledSeries("req.total", Label{Key: "arm", Val: "debloated"}, Label{Key: "function", Val: "f1"})
 	if a != b {
 		t.Fatalf("label order changed encoding: %q vs %q", a, b)
 	}
@@ -23,12 +23,12 @@ func TestLabeledSeriesCanonical(t *testing.T) {
 }
 
 func TestSplitSeriesRoundTrip(t *testing.T) {
-	name := LabeledSeries("cost.usd", Label{"function", "fn-007"}, Label{"phase", "init"})
+	name := LabeledSeries("cost.usd", Label{Key: "function", Val: "fn-007"}, Label{Key: "phase", Val: "init"})
 	fam, labels := SplitSeries(name)
 	if fam != "cost.usd" {
 		t.Fatalf("family = %q", fam)
 	}
-	if len(labels) != 2 || labels[0] != (Label{"function", "fn-007"}) || labels[1] != (Label{"phase", "init"}) {
+	if len(labels) != 2 || labels[0] != (Label{Key: "function", Val: "fn-007"}) || labels[1] != (Label{Key: "phase", Val: "init"}) {
 		t.Fatalf("labels = %v", labels)
 	}
 	if re := LabeledSeries(fam, labels...); re != name {
@@ -123,17 +123,17 @@ func TestStoreScanMatchesRange(t *testing.T) {
 func TestStoreFamiliesGroupsLabels(t *testing.T) {
 	st := NewStore(time.Minute, 10)
 	st.Record("req.total", time.Second, 2)
-	st.Record(LabeledSeries("req.total", Label{"function", "a"}), time.Second, 2)
-	st.Record(LabeledSeries("req.total", Label{"function", "b"}), 2*time.Second, 5)
+	st.Record(LabeledSeries("req.total", Label{Key: "function", Val: "a"}), time.Second, 2)
+	st.Record(LabeledSeries("req.total", Label{Key: "function", Val: "b"}), 2*time.Second, 5)
 	st.Record("other", time.Second, 1)
-	var b strings.Builder
-	StoreFamilies(&b, st, func(series, kind string) string {
+	var e obs.Exposition
+	StoreFamilies(&e, st, func(series, kind string) string {
 		if series == `req.total{function="b"}` && kind == "max" {
-			return ExemplarAnnotation([]Label{{"span_id", "deadbeef"}}, 5, 2*time.Second)
+			return obs.Exemplar([]Label{{Key: "span_id", Val: "deadbeef"}}, 5, 2*time.Second)
 		}
 		return ""
 	})
-	got := b.String()
+	got := string(e.Bytes())
 	want := `# TYPE lambdatrim_other_count counter
 lambdatrim_other_count 1
 # TYPE lambdatrim_other_sum gauge
@@ -152,6 +152,7 @@ lambdatrim_req_total_sum{function="b"} 5
 lambdatrim_req_total_max 2
 lambdatrim_req_total_max{function="a"} 2
 lambdatrim_req_total_max{function="b"} 5 # {span_id="deadbeef"} 5 2
+# EOF
 `
 	if got != want {
 		t.Fatalf("grouped exposition mismatch:\ngot:\n%s\nwant:\n%s", got, want)
@@ -164,21 +165,24 @@ func TestStoreFamiliesUnlabeledCompat(t *testing.T) {
 	st := NewStore(time.Minute, 10)
 	st.Record("req.total", time.Second, 1.5)
 	st.Record("cost.usd", time.Second, 0.25)
-	var b strings.Builder
-	StoreFamilies(&b, st, nil)
-	var legacy strings.Builder
-	for _, name := range st.Names() {
-		tot := st.Total(name)
-		mn := metricName(name)
-		writeFamily(&legacy, mn+"_count", "counter",
-			mn+"_count "+strconv.FormatUint(tot.Count, 10))
-		writeFamily(&legacy, mn+"_sum", "gauge",
-			mn+"_sum "+fmtFloat(tot.Sum))
-		writeFamily(&legacy, mn+"_max", "gauge",
-			mn+"_max "+fmtFloat(tot.Max))
-	}
-	if b.String() != legacy.String() {
-		t.Fatalf("unlabeled exposition drifted:\ngot:\n%s\nwant:\n%s", b.String(), legacy.String())
+	var e obs.Exposition
+	StoreFamilies(&e, st, nil)
+	legacy := `# TYPE lambdatrim_cost_usd_count counter
+lambdatrim_cost_usd_count 1
+# TYPE lambdatrim_cost_usd_sum gauge
+lambdatrim_cost_usd_sum 0.25
+# TYPE lambdatrim_cost_usd_max gauge
+lambdatrim_cost_usd_max 0.25
+# TYPE lambdatrim_req_total_count counter
+lambdatrim_req_total_count 1
+# TYPE lambdatrim_req_total_sum gauge
+lambdatrim_req_total_sum 1.5
+# TYPE lambdatrim_req_total_max gauge
+lambdatrim_req_total_max 1.5
+# EOF
+`
+	if got := string(e.Bytes()); got != legacy {
+		t.Fatalf("unlabeled exposition drifted:\ngot:\n%s\nwant:\n%s", got, legacy)
 	}
 }
 
@@ -187,13 +191,13 @@ func TestLabeledObserve(t *testing.T) {
 	m.Observe(time.Second, Sample{Function: "f1", Class: "ok", E2E: 2 * time.Second, CostUSD: 0.5})
 	m.Observe(2*time.Second, Sample{Function: "f2", Class: "error", Cold: true, E2E: time.Second, CostUSD: 0.25})
 	m.Finish()
-	if got := m.Store().Total(LabeledSeries("req.total", Label{"function", "f1"})); got.Count != 1 {
+	if got := m.Store().Total(LabeledSeries("req.total", Label{Key: "function", Val: "f1"})); got.Count != 1 {
 		t.Fatalf("f1 labeled total = %+v", got)
 	}
-	if got := m.Store().Total(LabeledSeries("req.error", Label{"function", "f2"})); got.Count != 1 {
+	if got := m.Store().Total(LabeledSeries("req.error", Label{Key: "function", Val: "f2"})); got.Count != 1 {
 		t.Fatalf("f2 labeled errors = %+v", got)
 	}
-	if got := m.Store().Total(LabeledSeries("req.cold", Label{"function", "f2"})); got.Count != 1 {
+	if got := m.Store().Total(LabeledSeries("req.cold", Label{Key: "function", Val: "f2"})); got.Count != 1 {
 		t.Fatalf("f2 labeled cold = %+v", got)
 	}
 	if got := m.Store().Total("req.total"); got.Count != 2 {

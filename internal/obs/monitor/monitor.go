@@ -72,9 +72,8 @@ type Monitor struct {
 	cfg    Config
 	store  *Store
 	ledger *Ledger
-	states []sloState
+	slo    sloMachine
 	sink   *SampleSink // built-in and per-SLO series
-	alerts []AlertEvent
 	frames []string
 	hist   *stats.Histogram // cumulative E2E seconds
 
@@ -98,6 +97,7 @@ func New(cfg Config) *Monitor {
 		cfg:       cfg,
 		store:     NewStore(cfg.Resolution, cfg.Windows),
 		ledger:    NewLedger(),
+		slo:       newSLOMachine(cfg.SLOs, cfg.Resolution),
 		hist:      stats.NewHistogram(),
 		nextTick:  cfg.Resolution,
 		nextFrame: -1,
@@ -105,13 +105,7 @@ func New(cfg Config) *Monitor {
 	if cfg.DashboardEvery > 0 {
 		m.nextFrame = cfg.DashboardEvery
 	}
-	defs := make([]SLO, 0, len(cfg.SLOs))
-	for _, def := range cfg.SLOs {
-		full := def.withDefaults(cfg.Resolution)
-		m.states = append(m.states, sloState{def: full})
-		defs = append(defs, full)
-	}
-	m.sink = m.store.Sink(defs)
+	m.sink = m.store.Sink(cfg.SLOs)
 	return m
 }
 
@@ -179,34 +173,13 @@ func (m *Monitor) advanceLocked(at time.Duration) {
 		frame := m.nextFrame >= 0 && m.nextFrame <= at
 		switch {
 		case tick && (!frame || m.nextTick <= m.nextFrame):
-			m.evalTickLocked(m.nextTick)
+			m.slo.step(m.store, m.nextTick)
 			m.nextTick += m.cfg.Resolution
 		case frame:
 			m.frameLocked(m.nextFrame)
 			m.nextFrame += m.cfg.DashboardEvery
 		default:
 			return
-		}
-	}
-}
-
-// evalTickLocked evaluates every objective at boundary T and records alert
-// transitions.
-func (m *Monitor) evalTickLocked(T time.Duration) {
-	for i := range m.states {
-		st := &m.states[i]
-		burnS := m.burn(st.def, T, st.def.ShortWindow)
-		burnL := m.burn(st.def, T, st.def.LongWindow)
-		firing := burnS >= st.def.Burn && burnL >= st.def.Burn
-		if firing != st.firing {
-			st.firing = firing
-			if firing {
-				st.fired++
-			}
-			m.alerts = append(m.alerts, AlertEvent{
-				At: T, SLO: st.def.Name, Firing: firing,
-				BurnShort: burnS, BurnLong: burnL,
-			})
 		}
 	}
 }
@@ -223,7 +196,7 @@ func (m *Monitor) frameLocked(T time.Duration) {
 	if total.Count > 0 {
 		coldPct = 100 * float64(cold.Count) / float64(total.Count)
 	}
-	firing := sortedFiring(m.states)
+	firing := m.slo.firing()
 	firingStr := "-"
 	if len(firing) > 0 {
 		firingStr = strings.Join(firing, ",")
@@ -243,21 +216,13 @@ func (m *Monitor) Alerts() []AlertEvent {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]AlertEvent(nil), m.alerts...)
+	return append([]AlertEvent(nil), m.slo.alerts...)
 }
 
 // AlertLog renders the alert transitions as the canonical text log, one
 // line per event ("" when no transitions occurred).
 func (m *Monitor) AlertLog() string {
-	if m == nil {
-		return ""
-	}
-	var b strings.Builder
-	for _, e := range m.Alerts() {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return RenderAlertLog(m.Alerts())
 }
 
 // Dashboard returns the concatenated dashboard frames rendered so far.
@@ -285,15 +250,7 @@ func (m *Monitor) FireCounts() []SLOFireCount {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]SLOFireCount, 0, len(m.states))
-	for i := range m.states {
-		st := &m.states[i]
-		out = append(out, SLOFireCount{
-			Name: st.def.Name, Kind: st.def.Kind,
-			Fired: st.fired, Firing: st.firing,
-		})
-	}
-	return out
+	return m.slo.fireCounts()
 }
 
 // Store exposes the underlying TSDB (nil when monitoring is disabled).

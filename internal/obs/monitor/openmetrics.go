@@ -3,84 +3,10 @@ package monitor
 import (
 	"sort"
 	"strconv"
-	"strings"
-	"time"
+
+	"repro/internal/obs"
+	"repro/internal/stats"
 )
-
-// metricName sanitizes a series name into an OpenMetrics metric name:
-// every character outside [a-zA-Z0-9_] becomes '_', and the exposition
-// namespace prefix is applied.
-// MetricName exposes the exposition name mangling to other packages that
-// render OpenMetrics families alongside the monitor's.
-func MetricName(s string) string { return metricName(s) }
-
-func metricName(s string) string {
-	var b strings.Builder
-	b.WriteString("lambdatrim_")
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func writeFamily(b *strings.Builder, name, typ string, lines ...string) {
-	b.WriteString("# TYPE ")
-	b.WriteString(name)
-	b.WriteByte(' ')
-	b.WriteString(typ)
-	b.WriteByte('\n')
-	for _, l := range lines {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
-}
-
-// labelBlock renders a decoded label set as an OpenMetrics label block
-// ("" for unlabeled series). Keys arrive sorted (SplitSeries preserves the
-// canonical encoding's order) and values are written verbatim, mirroring
-// the LabeledSeries producer contract.
-func labelBlock(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteString(`="`)
-		b.WriteString(l.Val)
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// ExemplarAnnotation renders an OpenMetrics exemplar suffix for a metric
-// line: " # {labels} value timestamp", with the timestamp in seconds of
-// simulated time. Appended verbatim by StoreFamilies exemplar callbacks.
-func ExemplarAnnotation(labels []Label, value float64, ts time.Duration) string {
-	var b strings.Builder
-	b.WriteString(" # ")
-	b.WriteString(labelBlock(labels))
-	if len(labels) == 0 {
-		b.WriteString("{}")
-	}
-	b.WriteByte(' ')
-	b.WriteString(fmtFloat(value))
-	b.WriteByte(' ')
-	b.WriteString(fmtFloat(ts.Seconds()))
-	return b.String()
-}
 
 // StoreFamilies renders every series in a store as OpenMetrics
 // count/sum/max families. Labeled series (the LabeledSeries encoding) are
@@ -91,8 +17,8 @@ func ExemplarAnnotation(labels []Label, value float64, ts time.Duration) string 
 // byte-identically to the historical per-series writer. The optional
 // exemplar callback receives each (store series name, kind) pair — kind is
 // "count", "sum", or "max" — and returns an annotation suffix (typically
-// ExemplarAnnotation output) or "".
-func StoreFamilies(b *strings.Builder, st *Store, exemplar func(series, kind string) string) {
+// obs.Exemplar output) or "".
+func StoreFamilies(e *obs.Exposition, st *Store, exemplar func(series, kind string) string) {
 	type member struct {
 		name   string // full store series name
 		labels []Label
@@ -119,7 +45,7 @@ func StoreFamilies(b *strings.Builder, st *Store, exemplar func(series, kind str
 		{"max", "_max", "gauge"},
 	}
 	for _, fam := range fams {
-		mn := metricName(fam)
+		mn := obs.MetricName(fam)
 		for _, k := range kinds {
 			lines := make([]string, 0, len(byFam[fam]))
 			for _, m := range byFam[fam] {
@@ -129,73 +55,70 @@ func StoreFamilies(b *strings.Builder, st *Store, exemplar func(series, kind str
 				case "count":
 					val = strconv.FormatUint(tot.Count, 10)
 				case "sum":
-					val = fmtFloat(tot.Sum)
+					val = obs.FormatFloat(tot.Sum)
 				default:
-					val = fmtFloat(tot.Max)
+					val = obs.FormatFloat(tot.Max)
 				}
-				line := mn + k.suffix + labelBlock(m.labels) + " " + val
+				line := obs.Sample(mn+k.suffix, m.labels, val)
 				if exemplar != nil {
 					line += exemplar(m.name, k.kind)
 				}
 				lines = append(lines, line)
 			}
-			writeFamily(b, mn+k.suffix, k.typ, lines...)
+			e.Family(mn+k.suffix, k.typ, lines...)
 		}
 	}
 }
 
-// OpenMetrics renders the monitor state as an OpenMetrics text exposition:
-// per-series cumulative count/sum/max, per-objective firing state and fire
-// counts, cumulative E2E latency quantiles, and the ledger's per-phase
-// dollar decomposition. Series, label values, and quantiles are emitted in
-// sorted/fixed order, so the exposition is byte-stable for a fixed sample
-// sequence. Safe on a nil monitor (empty exposition, still terminated).
-func (m *Monitor) OpenMetrics() []byte {
-	var b strings.Builder
-	if m == nil {
-		b.WriteString("# EOF\n")
-		return []byte(b.String())
-	}
-	StoreFamilies(&b, m.store, nil)
-
-	counts := m.FireCounts()
-	if len(counts) > 0 {
-		firing := make([]string, 0, len(counts))
-		fired := make([]string, 0, len(counts))
-		for _, c := range counts {
-			v := "0"
-			if c.Firing {
-				v = "1"
-			}
-			firing = append(firing, `lambdatrim_slo_firing{slo="`+c.Name+`"} `+v)
-			fired = append(fired, `lambdatrim_slo_fired_total{slo="`+c.Name+`"} `+strconv.Itoa(c.Fired))
+// SummaryFamilies renders the run-level families every monitored
+// exposition carries after its store families: per-objective firing state
+// and fire counts, cumulative E2E latency quantiles, and the ledger's
+// per-phase dollar decomposition. Each family is omitted when it has
+// nothing to report (no objectives, no latency samples, no invocations).
+func SummaryFamilies(e *obs.Exposition, counts []SLOFireCount, latency *stats.Histogram, total Phase) {
+	firing := make([]string, 0, len(counts))
+	fired := make([]string, 0, len(counts))
+	for _, c := range counts {
+		v := "0"
+		if c.Firing {
+			v = "1"
 		}
-		writeFamily(&b, "lambdatrim_slo_firing", "gauge", firing...)
-		writeFamily(&b, "lambdatrim_slo_fired_total", "counter", fired...)
+		slo := []Label{{Key: "slo", Val: c.Name}}
+		firing = append(firing, obs.Sample("lambdatrim_slo_firing", slo, v))
+		fired = append(fired, obs.Sample("lambdatrim_slo_fired_total", slo, strconv.Itoa(c.Fired)))
 	}
+	e.Family("lambdatrim_slo_firing", "gauge", firing...)
+	e.Family("lambdatrim_slo_fired_total", "counter", fired...)
 
-	hist := m.Latency()
-	if hist.Count() > 0 {
-		qs := []struct {
-			q float64
-			s string
-		}{{0.50, "0.5"}, {0.95, "0.95"}, {0.99, "0.99"}}
-		lines := make([]string, 0, len(qs))
-		for _, q := range qs {
-			lines = append(lines,
-				`lambdatrim_latency_seconds{quantile="`+q.s+`"} `+fmtFloat(hist.Quantile(q.q)))
+	if latency != nil && latency.Count() > 0 {
+		quantile := func(q float64, s string) string {
+			return obs.Sample("lambdatrim_latency_seconds", []Label{{Key: "quantile", Val: s}},
+				obs.FormatFloat(latency.Quantile(q)))
 		}
-		writeFamily(&b, "lambdatrim_latency_seconds", "gauge", lines...)
+		e.Family("lambdatrim_latency_seconds", "gauge",
+			quantile(0.50, "0.5"), quantile(0.95, "0.95"), quantile(0.99, "0.99"))
 	}
 
-	total := m.Ledger().Total()
 	if total.Invocations > 0 {
-		writeFamily(&b, "lambdatrim_cost_phase_usd", "gauge",
-			`lambdatrim_cost_phase_usd{phase="init"} `+fmtFloat(total.InitUSD),
-			`lambdatrim_cost_phase_usd{phase="handler"} `+fmtFloat(total.ExecUSD),
-			`lambdatrim_cost_phase_usd{phase="idle"} `+fmtFloat(total.IdleUSD),
-			`lambdatrim_cost_phase_usd{phase="restore"} `+fmtFloat(total.RestoreUSD))
+		phase := func(name string, usd float64) string {
+			return obs.Sample("lambdatrim_cost_phase_usd", []Label{{Key: "phase", Val: name}}, obs.FormatFloat(usd))
+		}
+		e.Family("lambdatrim_cost_phase_usd", "gauge",
+			phase("init", total.InitUSD), phase("handler", total.ExecUSD),
+			phase("idle", total.IdleUSD), phase("restore", total.RestoreUSD))
 	}
-	b.WriteString("# EOF\n")
-	return []byte(b.String())
+}
+
+// OpenMetrics renders the monitor state as an OpenMetrics text exposition:
+// per-series cumulative count/sum/max, then the SummaryFamilies. Series,
+// label values, and quantiles are emitted in sorted/fixed order, so the
+// exposition is byte-stable for a fixed sample sequence. Safe on a nil
+// monitor (empty exposition, still terminated).
+func (m *Monitor) OpenMetrics() []byte {
+	var e obs.Exposition
+	if m != nil {
+		StoreFamilies(&e, m.store, nil)
+		SummaryFamilies(&e, m.FireCounts(), m.Latency(), m.Ledger().Total())
+	}
+	return e.Bytes()
 }

@@ -3,7 +3,6 @@ package monitor
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -175,20 +174,6 @@ func fmtOffset(d time.Duration) string {
 	return fmt.Sprintf("+%02dh%02dm%02ds", h, m, s)
 }
 
-// sloState tracks one objective's evaluation state.
-type sloState struct {
-	def    SLO
-	firing bool
-	fired  int // fire transitions, for summaries
-}
-
-// burn computes the burn rate over the trailing window ending at T — the
-// shared implementation lives in burnOver (eval.go) so the live monitor and
-// the post-hoc sharded-replay sweep evaluate identically.
-func (m *Monitor) burn(def SLO, T, window time.Duration) float64 {
-	return burnOver(m.store, def, T, window)
-}
-
 // ParseSLOs parses a compact SLO spec of comma-separated key=value pairs:
 //
 //	p95=800ms     latency objective: 95% of requests under 800 ms
@@ -285,16 +270,4 @@ func parseFraction(val string) (float64, error) {
 		return 0, fmt.Errorf("monitor: fraction %q out of (0, 1]", val)
 	}
 	return f, nil
-}
-
-// sortedFiring returns the names of currently-firing SLOs, sorted.
-func sortedFiring(states []sloState) []string {
-	var out []string
-	for i := range states {
-		if states[i].firing {
-			out = append(out, states[i].def.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -3,12 +3,25 @@ package obs
 import (
 	"strconv"
 	"strings"
+	"time"
 )
 
-// openMetricsName sanitizes a registry metric name for text exposition:
-// characters outside [a-zA-Z0-9_] become '_', under the shared
-// "lambdatrim_" namespace used by the monitor exposition.
-func openMetricsName(s string) string {
+// This file is the one OpenMetrics text writer. Every exposition in the
+// repository (the registry snapshot, the monitor and fleet stores, the
+// rollout controller) is built through Exposition, so name sanitizing,
+// float formatting, label blocks, and the "# EOF" terminator each have a
+// single implementation.
+
+// Label is one key="value" pair of an exposition label block.
+type Label struct {
+	Key string
+	Val string
+}
+
+// MetricName sanitizes a registry or series name into an OpenMetrics
+// metric name: characters outside [a-zA-Z0-9_] become '_', under the
+// shared "lambdatrim_" namespace.
+func MetricName(s string) string {
 	var b strings.Builder
 	b.WriteString("lambdatrim_")
 	for _, r := range s {
@@ -22,7 +35,78 @@ func openMetricsName(s string) string {
 	return b.String()
 }
 
-func openMetricsFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// FormatFloat renders a sample value: the shortest 'g' form that
+// round-trips.
+func FormatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// Sample renders one sample line: the metric name, its label block (none
+// when labels is empty), and the value. Label values are written
+// verbatim.
+func Sample(name string, labels []Label, value string) string {
+	return name + LabelBlock(labels) + " " + value
+}
+
+// LabelBlock renders labels as `{k="v",k2="v2"}` in the given order, or ""
+// when there are none. Values are written verbatim: producers must not put
+// '"' or newlines in them.
+func LabelBlock(labels []Label) string {
+	if len(labels) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, l := range labels {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(l.Key)
+		b.WriteString(`="`)
+		b.WriteString(l.Val)
+		b.WriteByte('"')
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+// Exemplar renders an exemplar suffix for a sample line:
+// " # {labels} value timestamp", with the timestamp in seconds of
+// simulated time.
+func Exemplar(labels []Label, value float64, ts time.Duration) string {
+	block := LabelBlock(labels)
+	if block == "" {
+		block = "{}"
+	}
+	return " # " + block + " " + FormatFloat(value) + " " + FormatFloat(ts.Seconds())
+}
+
+// Exposition accumulates an OpenMetrics text exposition family by family,
+// in call order. The zero value is empty and ready to use.
+type Exposition struct {
+	b strings.Builder
+}
+
+// Family writes one metric family: its "# TYPE" line, then each sample
+// line (as rendered by Sample, optionally with an Exemplar suffix). A
+// family without samples is omitted.
+func (e *Exposition) Family(name, typ string, samples ...string) {
+	if len(samples) == 0 {
+		return
+	}
+	e.b.WriteString("# TYPE ")
+	e.b.WriteString(name)
+	e.b.WriteByte(' ')
+	e.b.WriteString(typ)
+	e.b.WriteByte('\n')
+	for _, s := range samples {
+		e.b.WriteString(s)
+		e.b.WriteByte('\n')
+	}
+}
+
+// Bytes returns the exposition terminated by "# EOF".
+func (e *Exposition) Bytes() []byte {
+	return []byte(e.b.String() + "# EOF\n")
+}
 
 // OpenMetrics renders the snapshot as an OpenMetrics text exposition:
 // counters as counter families, gauges as gauge families, and histograms
@@ -30,28 +114,23 @@ func openMetricsFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1,
 // labeled samples. The snapshot is already name-sorted, so the exposition
 // is byte-stable. An empty snapshot yields just the EOF terminator.
 func (s Snapshot) OpenMetrics() []byte {
-	var b strings.Builder
+	var e Exposition
 	for _, c := range s.Counters {
-		n := openMetricsName(c.Name)
-		b.WriteString("# TYPE " + n + " counter\n")
-		b.WriteString(n + "_total " + strconv.FormatInt(c.Value, 10) + "\n")
+		n := MetricName(c.Name)
+		e.Family(n, "counter", Sample(n+"_total", nil, strconv.FormatInt(c.Value, 10)))
 	}
 	for _, g := range s.Gauges {
-		n := openMetricsName(g.Name)
-		b.WriteString("# TYPE " + n + " gauge\n")
-		b.WriteString(n + " " + openMetricsFloat(g.Value) + "\n")
+		n := MetricName(g.Name)
+		e.Family(n, "gauge", Sample(n, nil, FormatFloat(g.Value)))
 	}
 	for _, h := range s.Histograms {
-		n := openMetricsName(h.Name)
-		b.WriteString("# TYPE " + n + "_count counter\n")
-		b.WriteString(n + "_count " + strconv.FormatUint(h.Count, 10) + "\n")
-		b.WriteString("# TYPE " + n + "_sum gauge\n")
-		b.WriteString(n + "_sum " + openMetricsFloat(h.Sum) + "\n")
-		b.WriteString("# TYPE " + n + " gauge\n")
-		b.WriteString(n + `{quantile="0.5"} ` + openMetricsFloat(h.P50) + "\n")
-		b.WriteString(n + `{quantile="0.95"} ` + openMetricsFloat(h.P95) + "\n")
-		b.WriteString(n + `{quantile="0.99"} ` + openMetricsFloat(h.P99) + "\n")
+		n := MetricName(h.Name)
+		e.Family(n+"_count", "counter", Sample(n+"_count", nil, strconv.FormatUint(h.Count, 10)))
+		e.Family(n+"_sum", "gauge", Sample(n+"_sum", nil, FormatFloat(h.Sum)))
+		e.Family(n, "gauge",
+			Sample(n, []Label{{"quantile", "0.5"}}, FormatFloat(h.P50)),
+			Sample(n, []Label{{"quantile", "0.95"}}, FormatFloat(h.P95)),
+			Sample(n, []Label{{"quantile", "0.99"}}, FormatFloat(h.P99)))
 	}
-	b.WriteString("# EOF\n")
-	return []byte(b.String())
+	return e.Bytes()
 }

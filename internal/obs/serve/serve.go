@@ -114,7 +114,8 @@ func (s *Site) metrics(w http.ResponseWriter, _ *http.Request) {
 		w.Write(s.OpenMetrics())
 		return
 	}
-	w.Write([]byte("# EOF\n"))
+	var empty obs.Exposition
+	w.Write(empty.Bytes())
 }
 
 func (s *Site) query(w http.ResponseWriter, r *http.Request) {

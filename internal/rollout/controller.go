@@ -464,39 +464,29 @@ func (c *Controller) EventLog() string {
 // OpenMetrics renders the controller's counters as an OpenMetrics
 // exposition, namespaced lambdatrim_rollout_*.
 func (c *Controller) OpenMetrics() []byte {
-	var b strings.Builder
+	var e obs.Exposition
 	for _, series := range c.store.Names() {
-		tot := c.store.Total(series)
-		mn := monitor.MetricName("rollout_" + series)
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s_total %d\n", mn, mn, tot.Count)
+		mn := obs.MetricName("rollout_" + series)
+		e.Family(mn, "counter", obs.Sample(mn+"_total", nil, strconv.FormatUint(c.store.Total(series).Count, 10)))
 	}
 	names := append([]string(nil), c.order...)
 	sort.Strings(names)
-	var stage, breakerOpenG []string
+	stageName := obs.MetricName("rollout_canary_stage")
+	openName := obs.MetricName("rollout_breaker_open_state")
+	var stage, breakerOpen []string
 	for _, name := range names {
 		s, _ := c.Status(name)
 		open := 0
 		if s.Breaker == "OPEN" {
 			open = 1
 		}
-		label := "{fn=\"" + name + "\"}"
-		stage = append(stage, monitor.MetricName("rollout_canary_stage")+label+" "+strconv.Itoa(s.Stage))
-		breakerOpenG = append(breakerOpenG, monitor.MetricName("rollout_breaker_open_state")+label+" "+strconv.Itoa(open))
+		fn := []obs.Label{{Key: "fn", Val: name}}
+		stage = append(stage, obs.Sample(stageName, fn, strconv.Itoa(s.Stage)))
+		breakerOpen = append(breakerOpen, obs.Sample(openName, fn, strconv.Itoa(open)))
 	}
-	writeGauge(&b, monitor.MetricName("rollout_canary_stage"), stage)
-	writeGauge(&b, monitor.MetricName("rollout_breaker_open_state"), breakerOpenG)
-	b.WriteString("# EOF\n")
-	return []byte(b.String())
-}
-
-func writeGauge(b *strings.Builder, name string, lines []string) {
-	if len(lines) == 0 {
-		return
-	}
-	fmt.Fprintf(b, "# TYPE %s gauge\n", name)
-	for _, l := range lines {
-		b.WriteString(l + "\n")
-	}
+	e.Family(stageName, "gauge", stage...)
+	e.Family(openName, "gauge", breakerOpen...)
+	return e.Bytes()
 }
 
 // eventf appends one line to the transition log.

@@ -15,42 +15,50 @@ func gateArrivals() []time.Duration {
 }
 
 // TestPassThroughGateMatchesStream: a gate whose hooks are all identity
-// functions must reproduce the ungated pool event-for-event — the zero
-// gate's bit-for-bit contract, exercised through non-nil hooks.
+// functions must reproduce the ungated slice simulation event-for-event,
+// over a regular arrival grid and over generated Azure-shaped functions —
+// the zero gate's contract, exercised through non-nil hooks.
 func TestPassThroughGateMatchesStream(t *testing.T) {
-	arrivals := gateArrivals()
-	const busy = 800 * time.Millisecond
 	const keepAlive = 2 * time.Minute
+	type run struct {
+		arrivals []time.Duration
+		busy     time.Duration
+	}
+	runs := []run{{gateArrivals(), 800 * time.Millisecond}}
+	for _, f := range Generate(GenConfig{Functions: 12, Period: 2 * time.Hour, Seed: 3}).Functions {
+		runs = append(runs, run{f.Arrivals, time.Duration(f.DurationMS * float64(time.Millisecond))})
+	}
+	for n, r := range runs {
+		var plainEvents []PoolEvent
+		plain := SimulatePoolObserved(r.arrivals, r.busy, keepAlive, func(e PoolEvent) {
+			plainEvents = append(plainEvents, e)
+		})
 
-	var plainEvents []PoolEvent
-	plain := SimulatePoolObserved(arrivals, busy, keepAlive, func(e PoolEvent) {
-		plainEvents = append(plainEvents, e)
-	})
-
-	i := 0
-	next := func() (time.Duration, bool) {
-		if i >= len(arrivals) {
-			return 0, false
+		i := 0
+		next := func() (time.Duration, bool) {
+			if i >= len(r.arrivals) {
+				return 0, false
+			}
+			at := r.arrivals[i]
+			i++
+			return at, true
 		}
-		at := arrivals[i]
-		i++
-		return at, true
-	}
-	gate := PoolGate{
-		Admit: func(time.Duration) bool { return true },
-		Busy:  func(time.Duration, bool) time.Duration { return busy },
-		Flush: func(time.Duration) time.Duration { return -1 },
-	}
-	var gatedEvents []PoolEvent
-	gated := SimulatePoolGated(next, busy, keepAlive, gate, func(e PoolEvent) {
-		gatedEvents = append(gatedEvents, e)
-	})
+		gate := PoolGate{
+			Admit: func(time.Duration) bool { return true },
+			Busy:  func(time.Duration, bool) time.Duration { return r.busy },
+			Flush: func(time.Duration) time.Duration { return -1 },
+		}
+		var gatedEvents []PoolEvent
+		gated := SimulatePoolGated(next, r.busy, keepAlive, gate, func(e PoolEvent) {
+			gatedEvents = append(gatedEvents, e)
+		})
 
-	if plain != gated {
-		t.Fatalf("results differ: %+v vs %+v", plain, gated)
-	}
-	if !reflect.DeepEqual(plainEvents, gatedEvents) {
-		t.Fatal("event streams differ under a pass-through gate")
+		if plain != gated {
+			t.Fatalf("run %d: results differ: %+v vs %+v", n, plain, gated)
+		}
+		if !reflect.DeepEqual(plainEvents, gatedEvents) {
+			t.Fatalf("run %d: event streams differ under a pass-through gate", n)
+		}
 	}
 }
 

@@ -192,40 +192,24 @@ type PoolEvent struct {
 	Live int
 }
 
-// SimulatePool runs the keep-alive instance-pool dynamics: each arrival is
-// served warm when a non-expired idle instance exists, cold otherwise.
-// Arrivals must be sorted.
-func SimulatePool(arrivals []time.Duration, duration time.Duration, keepAlive time.Duration) PoolResult {
-	return SimulatePoolObserved(arrivals, duration, keepAlive, nil)
-}
-
-// SimulatePoolObserved is SimulatePool with an observer invoked once per
-// served arrival, in arrival order. A nil observer reproduces SimulatePool
-// exactly; the observer cannot perturb the pool dynamics either way.
+// SimulatePoolObserved runs the pool dynamics (SimulatePoolGated, zero
+// gate) over a sorted arrival slice. The observer, which may be nil, is
+// invoked once per served arrival, in arrival order; it cannot perturb
+// the dynamics.
 func SimulatePoolObserved(arrivals []time.Duration, duration time.Duration, keepAlive time.Duration, observe func(PoolEvent)) PoolResult {
 	i := 0
-	return SimulatePoolStream(func() (time.Duration, bool) {
+	return SimulatePoolGated(func() (time.Duration, bool) {
 		if i >= len(arrivals) {
 			return 0, false
 		}
 		at := arrivals[i]
 		i++
 		return at, true
-	}, duration, keepAlive, observe)
-}
-
-// SimulatePoolStream runs the keep-alive pool dynamics over an arrival
-// iterator instead of a materialized slice: next() yields sorted offsets
-// and then (0, false). The pool state is bounded by the function's peak
-// concurrency, so a stream of millions of arrivals simulates in flat
-// memory — the substrate the sharded fleet replay engine runs on. The
-// dynamics are identical to SimulatePoolObserved (which wraps this).
-func SimulatePoolStream(next func() (time.Duration, bool), duration time.Duration, keepAlive time.Duration, observe func(PoolEvent)) PoolResult {
-	return SimulatePoolGated(next, duration, keepAlive, PoolGate{}, observe)
+	}, duration, keepAlive, PoolGate{}, observe)
 }
 
 // PoolGate hooks the pool dynamics for a chaos layer. Every hook is
-// optional; the zero gate reproduces SimulatePoolStream bit-for-bit.
+// optional; the zero gate runs the plain keep-alive dynamics.
 type PoolGate struct {
 	// Admit decides whether the arrival reaches the platform at all. A
 	// false return drops the arrival: it is not counted, not assigned an
@@ -242,8 +226,13 @@ type PoolGate struct {
 	Flush func(at time.Duration) time.Duration
 }
 
-// SimulatePoolGated is SimulatePoolStream with a chaos gate over
-// admission, hold time, and instance churn.
+// SimulatePoolGated is the one keep-alive instance-pool simulator: each
+// arrival is served warm when a non-expired idle instance exists, cold
+// otherwise, with gate hooks over admission, hold time, and instance
+// churn. next() yields sorted arrival offsets and then (0, false); the
+// pool state is bounded by the function's peak concurrency, so a stream of
+// millions of arrivals simulates in flat memory. observe, which may be
+// nil, sees each served arrival in arrival order.
 func SimulatePoolGated(next func() (time.Duration, bool), duration time.Duration, keepAlive time.Duration, gate PoolGate, observe func(PoolEvent)) PoolResult {
 	type inst struct {
 		freeAt time.Duration

@@ -90,7 +90,7 @@ func TestGenerateShape(t *testing.T) {
 
 func TestSimulatePoolAllWarmWhenDense(t *testing.T) {
 	arrivals := []time.Duration{0, time.Minute, 2 * time.Minute, 3 * time.Minute}
-	res := SimulatePool(arrivals, time.Second, 10*time.Minute)
+	res := SimulatePoolObserved(arrivals, time.Second, 10*time.Minute, nil)
 	if res.ColdStarts != 1 || res.WarmStarts != 3 {
 		t.Errorf("res = %+v, want 1 cold 3 warm", res)
 	}
@@ -101,7 +101,7 @@ func TestSimulatePoolAllWarmWhenDense(t *testing.T) {
 
 func TestSimulatePoolAllColdWhenSparse(t *testing.T) {
 	arrivals := []time.Duration{0, time.Hour, 2 * time.Hour}
-	res := SimulatePool(arrivals, time.Second, time.Minute)
+	res := SimulatePoolObserved(arrivals, time.Second, time.Minute, nil)
 	if res.ColdStarts != 3 || res.WarmStarts != 0 {
 		t.Errorf("res = %+v, want all cold", res)
 	}
@@ -110,7 +110,7 @@ func TestSimulatePoolAllColdWhenSparse(t *testing.T) {
 func TestSimulatePoolConcurrency(t *testing.T) {
 	// Two overlapping requests need two instances.
 	arrivals := []time.Duration{0, time.Millisecond}
-	res := SimulatePool(arrivals, time.Second, 10*time.Minute)
+	res := SimulatePoolObserved(arrivals, time.Second, 10*time.Minute, nil)
 	if res.ColdStarts != 2 {
 		t.Errorf("overlapping arrivals should both be cold: %+v", res)
 	}
@@ -119,7 +119,7 @@ func TestSimulatePoolConcurrency(t *testing.T) {
 	}
 	// A third request after both finish reuses one.
 	arrivals = append(arrivals, 2*time.Second)
-	res = SimulatePool(arrivals, time.Second, 10*time.Minute)
+	res = SimulatePoolObserved(arrivals, time.Second, 10*time.Minute, nil)
 	if res.WarmStarts != 1 {
 		t.Errorf("third arrival should be warm: %+v", res)
 	}
@@ -129,12 +129,12 @@ func TestSimulatePoolKeepAliveBoundary(t *testing.T) {
 	arrivals := []time.Duration{0, time.Second + 5*time.Minute}
 	dur := time.Second
 	// Second arrival lands exactly at the keep-alive horizon: still warm.
-	res := SimulatePool(arrivals, dur, 5*time.Minute)
+	res := SimulatePoolObserved(arrivals, dur, 5*time.Minute, nil)
 	if res.WarmStarts != 1 {
 		t.Errorf("boundary arrival should be warm: %+v", res)
 	}
 	// One nanosecond later: cold.
-	res = SimulatePool([]time.Duration{0, time.Second + 5*time.Minute + 1}, dur, 5*time.Minute)
+	res = SimulatePoolObserved([]time.Duration{0, time.Second + 5*time.Minute + 1}, dur, 5*time.Minute, nil)
 	if res.ColdStarts != 2 {
 		t.Errorf("past-boundary arrival should be cold: %+v", res)
 	}
@@ -185,7 +185,7 @@ func TestQuickPoolInvariants(t *testing.T) {
 		}
 		dur := time.Duration(durMS) * time.Millisecond
 		ka := time.Duration(kaSec) * time.Second
-		res := SimulatePool(arrivals, dur, ka)
+		res := SimulatePoolObserved(arrivals, dur, ka, nil)
 		if res.ColdStarts+res.WarmStarts != len(arrivals) {
 			return false
 		}
@@ -211,8 +211,8 @@ func TestQuickKeepAliveMonotone(t *testing.T) {
 			acc += time.Duration(r) * time.Second / 4
 			arrivals[i] = acc
 		}
-		short := SimulatePool(arrivals, time.Second, time.Minute)
-		long := SimulatePool(arrivals, time.Second, time.Hour)
+		short := SimulatePoolObserved(arrivals, time.Second, time.Minute, nil)
+		long := SimulatePoolObserved(arrivals, time.Second, time.Hour, nil)
 		return long.ColdStarts <= short.ColdStarts
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -226,7 +226,7 @@ func TestSimulatePoolObservedMatchesResult(t *testing.T) {
 	obs := SimulatePoolObserved(arrivals, time.Second, 5*time.Minute, func(ev PoolEvent) {
 		events = append(events, ev)
 	})
-	plain := SimulatePool(arrivals, time.Second, 5*time.Minute)
+	plain := SimulatePoolObserved(arrivals, time.Second, 5*time.Minute, nil)
 	if obs != plain {
 		t.Errorf("observer changed the result: %+v vs %+v", obs, plain)
 	}
@@ -251,39 +251,6 @@ func TestSimulatePoolObservedMatchesResult(t *testing.T) {
 	// The overlapping pair needs two live instances.
 	if events[1].Live != 2 {
 		t.Errorf("second overlapping arrival live = %d, want 2", events[1].Live)
-	}
-}
-
-func TestSimulatePoolStreamMatchesSlice(t *testing.T) {
-	tr := Generate(GenConfig{Functions: 12, Period: 2 * time.Hour, Seed: 3})
-	for _, f := range tr.Functions {
-		dur := time.Duration(f.DurationMS * float64(time.Millisecond))
-		var sliceEvents, streamEvents []PoolEvent
-		want := SimulatePoolObserved(f.Arrivals, dur, 10*time.Minute, func(ev PoolEvent) {
-			sliceEvents = append(sliceEvents, ev)
-		})
-		i := 0
-		got := SimulatePoolStream(func() (time.Duration, bool) {
-			if i >= len(f.Arrivals) {
-				return 0, false
-			}
-			at := f.Arrivals[i]
-			i++
-			return at, true
-		}, dur, 10*time.Minute, func(ev PoolEvent) {
-			streamEvents = append(streamEvents, ev)
-		})
-		if got != want {
-			t.Fatalf("fn %d: stream result %+v != slice result %+v", f.ID, got, want)
-		}
-		if len(streamEvents) != len(sliceEvents) {
-			t.Fatalf("fn %d: %d stream events vs %d slice events", f.ID, len(streamEvents), len(sliceEvents))
-		}
-		for j := range streamEvents {
-			if streamEvents[j] != sliceEvents[j] {
-				t.Fatalf("fn %d event %d: %+v != %+v", f.ID, j, streamEvents[j], sliceEvents[j])
-			}
-		}
 	}
 }
 
