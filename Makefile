@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test bench bench-smoke race experiments monitor-smoke rollout-smoke engine-smoke fleet-smoke query-smoke chaos-smoke fuzz-smoke lambdabench-check
+.PHONY: check fmt vet build test bench bench-diff bench-smoke race experiments monitor-smoke rollout-smoke engine-smoke fleet-smoke query-smoke chaos-smoke fuzz-smoke lambdabench-check
 
 ## race: the race-detector sweep CI runs on the concurrency-bearing
 ## packages (parallel DD, the corpus scheduler, the shared snapshot cache,
@@ -25,9 +25,10 @@ lambdabench-check:
 # fuzz-smoke: a few seconds of coverage-guided fuzzing on the parsers that
 # take operator-written specs (SLOs, canary stages), on the differential
 # compile/eval harness (walker vs compiled engine must agree byte-for-byte
-# on every observable), and on the lazily seeded arrival source (must draw
-# exactly math/rand's stream for any seed). Seeds alone run in the normal
-# test pass; this also explores.
+# on every observable), on the lazily seeded arrival source (must draw
+# exactly math/rand's stream for any seed), and on the histogram's bucket
+# table (must pick exactly the log formula's bucket for any positive
+# float). Seeds alone run in the normal test pass; this also explores.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseSLOs -fuzztime $(FUZZTIME) -run xxx ./internal/obs/monitor
@@ -36,6 +37,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) -run xxx ./internal/obs/query
 	$(GO) test -fuzz FuzzParseIncidents -fuzztime $(FUZZTIME) -run xxx ./internal/chaos
 	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime $(FUZZTIME) -run xxx ./internal/trace
+	$(GO) test -fuzz FuzzHistBucketMatchesLog -fuzztime $(FUZZTIME) -run xxx ./internal/stats
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -51,12 +53,21 @@ test:
 	$(GO) test -race ./...
 
 # bench: full benchmark sweep, 3 samples each, machine-readable output in
-# BENCH_<date>.json. Recover a benchstat-ready table with:
+# BENCH_<date>.json. Compare two logs with `make bench-diff`, or recover a
+# benchstat-ready table with:
 #   jq -r 'select(.Action=="output").Output' BENCH_<date>.json | benchstat -
 BENCH_OUT ?= BENCH_$(shell date +%Y-%m-%d).json
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x -count 3 -run xxx -json . > $(BENCH_OUT)
 	@echo "benchmark log written to $(BENCH_OUT)"
+
+# bench-diff: each benchmark's per-unit median in two `go test -json` logs
+# and the change between them (stdlib only, no benchstat needed):
+#   make bench-diff OLD=BENCH_a.json NEW=BENCH_b.json
+bench-diff:
+	@if [ -z "$(OLD)" ] || [ -z "$(NEW)" ]; then \
+		echo "usage: make bench-diff OLD=old.json NEW=new.json"; exit 2; fi
+	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
 
 # bench-smoke: one fast iteration of the cheap benchmarks (CI).
 bench-smoke:

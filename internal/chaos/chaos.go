@@ -514,11 +514,13 @@ func (st *FnState) notePressure(load float64) {
 	st.pressure = pressureDecay*st.pressure + (1-pressureDecay)*load
 }
 
-// Drop returns the last Admit failure's description.
-func (st *FnState) Drop() Drop { return st.drop }
+// Drop returns the last Admit failure's description. It points into the
+// state and is overwritten by the next Admit.
+func (st *FnState) Drop() *Drop { return &st.drop }
 
-// Outcome returns the last Serve's full record.
-func (st *FnState) Outcome() Outcome { return st.out }
+// Outcome returns the last Serve's full record. It points into the state
+// and is overwritten by the next Admit.
+func (st *FnState) Outcome() *Outcome { return &st.out }
 
 // Serve runs the admitted request: applies brownout/latency stretches,
 // the fallback wrapper (and its breaker), and hedging; bills every
@@ -526,7 +528,7 @@ func (st *FnState) Outcome() Outcome { return st.out }
 func (st *FnState) Serve(at time.Duration, cold bool) time.Duration {
 	seq := st.seq
 	cfg := &st.eng.cfg
-	out := st.out // admit bookkeeping (retries, wait in E2E)
+	out := &st.out // filled in place over Admit's bookkeeping (retries, wait in E2E)
 	retryWait := out.E2E
 	out.Cold = cold
 
@@ -558,8 +560,11 @@ func (st *FnState) Serve(at time.Duration, cold bool) time.Duration {
 	}
 	willFb := IsFallbackArm(st.fn.Arm) && draw(st.key, saltFallback, seq, 0) < pFb
 
+	// One slot per billed attempt kind: primary, fallback re-invocation,
+	// hedge. A fixed array keeps Serve allocation-free.
 	type bill struct{ init, exec time.Duration }
-	var bills []bill
+	var bills [3]bill
+	nb := 0
 	var serveE2E, busy time.Duration
 
 	routed := false
@@ -587,7 +592,7 @@ func (st *FnState) Serve(at time.Duration, cold bool) time.Duration {
 			out.Init = init
 		}
 		out.Routed = true
-		bills = append(bills, bill{init, exec})
+		bills[0], nb = bill{init, exec}, 1
 		serveE2E = init + exec
 		busy = serveE2E
 	case willFb:
@@ -600,11 +605,11 @@ func (st *FnState) Serve(at time.Duration, cold bool) time.Duration {
 			fbInit = time.Duration(float64(fbInit) * brownout.Severity)
 		}
 		out.Fallback = true
-		bills = append(bills, bill{init, exec / 2}, bill{fbInit, exec})
+		bills[0], bills[1], nb = bill{init, exec / 2}, bill{fbInit, exec}, 2
 		serveE2E = init + exec/2 + fbInit + exec
 		busy = init + exec/2 // the pool instance is freed at the throw
 	default:
-		bills = append(bills, bill{init, exec})
+		bills[0], nb = bill{init, exec}, 1
 		serveE2E = init + exec
 		busy = serveE2E
 	}
@@ -621,7 +626,8 @@ func (st *FnState) Serve(at time.Duration, cold bool) time.Duration {
 				hexec = time.Duration(float64(hexec) * storm.Severity)
 			}
 			out.Hedged = true
-			bills = append(bills, bill{0, hexec})
+			bills[nb] = bill{0, hexec}
+			nb++
 			if hedged := delay + hexec; hedged < serveE2E {
 				serveE2E = hedged
 				out.HedgeWon = true
@@ -632,7 +638,7 @@ func (st *FnState) Serve(at time.Duration, cold bool) time.Duration {
 	st.hist.Observe(serveE2E.Seconds())
 	st.served++
 
-	for _, b := range bills {
+	for _, b := range bills[:nb] {
 		out.BilledInit += b.init
 		out.BilledExec += b.exec
 		billed := cfg.Pricing.BillDuration(b.init + b.exec)
@@ -641,6 +647,5 @@ func (st *FnState) Serve(at time.Duration, cold bool) time.Duration {
 	}
 	out.E2E = retryWait + time.Duration(out.Retries)*attemptOverhead + serveE2E
 	out.Busy = busy
-	st.out = out
 	return busy
 }

@@ -152,7 +152,7 @@ func TestEngineDrawsScheduleIndependent(t *testing.T) {
 		for at := time.Duration(0); at < 24*time.Hour; at += 7 * time.Minute {
 			if st.Admit(at) {
 				st.Serve(at, at%(20*time.Minute) == 0)
-				out = append(out, st.Outcome())
+				out = append(out, *st.Outcome())
 			}
 		}
 		return out
@@ -205,4 +205,49 @@ func FuzzParseIncidents(f *testing.F) {
 			t.Fatalf("canonical form not a fixpoint: %q -> %q", canon, FormatIncidents(again))
 		}
 	})
+}
+
+// TestAdmitServeAllocFree: once a function's state has seen a full
+// incident day, admitting and serving another identical day allocates
+// nothing — bills live in a fixed array, the outcome is filled in place,
+// and the breaker and retry budget reuse their windows.
+func TestAdmitServeAllocFree(t *testing.T) {
+	var incidents []Incident
+	for d := 0; d < 3; d++ {
+		for _, in := range DefaultIncidentDay() {
+			in.Start += time.Duration(d) * 24 * time.Hour
+			incidents = append(incidents, in)
+		}
+	}
+	eng, err := NewEngine(Config{Seed: 3, Incidents: incidents, Mitigations: AllMitigations()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var states []*FnState
+	for id := 0; id < 12; id++ {
+		states = append(states, eng.Function(FnView{ID: id,
+			Arm:      []string{ArmOriginal, ArmDebloated, ArmFallback, ArmBreaker}[id%4],
+			ColdInit: time.Second, Exec: 150 * time.Millisecond, MemoryMB: 512}))
+	}
+	day, served := 0, 0
+	replayDay := func() {
+		start := time.Duration(day) * 24 * time.Hour
+		for at := start; at < start+24*time.Hour; at += 3 * time.Second {
+			for _, st := range states {
+				if st.Admit(at) {
+					st.Serve(at, at%(10*time.Minute) == 0)
+					served++
+				}
+			}
+		}
+		day++
+	}
+	replayDay()
+	// AllocsPerRun replays day 1 as its warm-up, then measures day 2.
+	if allocs := testing.AllocsPerRun(1, replayDay); allocs != 0 {
+		t.Errorf("a steady-state incident day allocates %v objects across %d functions, want 0", allocs, len(states))
+	}
+	if served < 3*len(states)*24*1000 {
+		t.Fatalf("replay served too little to measure: %d requests", served)
+	}
 }

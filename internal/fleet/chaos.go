@@ -91,8 +91,8 @@ func replayChaosFunction(cfg *Config, fn *Function, p *partial) {
 		Flush: st.FlushCut,
 	}
 
+	out := st.Outcome() // refilled in place by every Admit and Serve
 	res := trace.SimulatePoolGated(next, fn.Exec, cfg.KeepAlive, gate, func(ev trace.PoolEvent) {
-		out := st.Outcome()
 		as.Served++
 		as.Retries += uint64(out.Retries)
 		as.RetriesDenied += uint64(out.RetriesDenied)

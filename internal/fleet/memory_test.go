@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"repro/internal/chaos"
 )
 
 // replayPeakGrowth replays pop and returns (peak GC'd heap growth over
@@ -114,6 +116,46 @@ func TestReplayAllocsPerInvocation(t *testing.T) {
 	t.Logf("%d invocations, %.3f allocs/invocation", res.Invocations, perInv)
 	if perInv >= 0.25 {
 		t.Errorf("telemetry-on replay allocates %.3f objects per invocation, want < 0.25", perInv)
+	}
+}
+
+// TestChaosReplayAllocsPerInvocation extends the allocation budget to the
+// chaos replay: with every mitigation on through the canonical incident
+// day, admitting and serving a request (bills, outcome, breaker window)
+// allocates nothing, so the replay still allocates per function and per
+// shard only. A per-request bill slice alone costs about one object per
+// invocation and fails the bound.
+func TestChaosReplayAllocsPerInvocation(t *testing.T) {
+	pop := GeneratePopulation(PopConfig{
+		Functions: 300, Period: 24 * time.Hour, Seed: 2,
+		DebloatedFraction: 0.5, RateMedian: 200, RateSigma: 1.5, RateCap: 30000,
+		ArmMix: []ArmShare{
+			{Arm: chaos.ArmDebloated, Frac: 0.25},
+			{Arm: chaos.ArmFallback, Frac: 0.25},
+			{Arm: chaos.ArmBreaker, Frac: 0.25},
+		},
+	}, testArchetypes())
+	cfg := testConfig(1)
+	cfg.Period = 24 * time.Hour
+	cfg.Blocks = 4
+	cfg.SLOs = DefaultChaosSLOs()
+	cfg.Chaos = &chaos.Config{Seed: 2, Incidents: chaos.DefaultIncidentDay(), Mitigations: chaos.AllMitigations()}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Replay(cfg, pop)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Invocations < 50_000 || res.Chaos.Total.Hedges == 0 || res.Chaos.Total.Fallbacks == 0 {
+		t.Fatalf("replay too small to measure: %d invocations, %d hedges, %d fallbacks",
+			res.Invocations, res.Chaos.Total.Hedges, res.Chaos.Total.Fallbacks)
+	}
+	perInv := float64(after.Mallocs-before.Mallocs) / float64(res.Invocations)
+	t.Logf("%d invocations, %.3f allocs/invocation", res.Invocations, perInv)
+	if perInv > 0.25 {
+		t.Errorf("chaos replay allocates %.3f objects per invocation, want <= 0.25", perInv)
 	}
 }
 

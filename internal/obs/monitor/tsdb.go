@@ -321,68 +321,67 @@ func (s *Store) Names() []string {
 	return out
 }
 
+// mergeMu serializes Store.Merge calls. A merge holds it, then both store
+// locks; every other method holds at most one store lock and never waits
+// on a second, so the two-lock section cannot deadlock — not even a→b
+// racing b→a (see TestStoreMergeConcurrentNoDeadlock).
+var mergeMu sync.Mutex
+
 // Merge folds another store window-wise into s by absolute window index.
 // Both stores must share resolution and capacity (the caller constructs
 // per-worker stores from one config); mismatched geometry returns an
 // explicit error with nothing folded — absolute window indices only line up
 // when both rings share a resolution, so a silent partial merge would
 // corrupt every series. A nil s or o is a no-op (nil monitor semantics).
-// o must not be written concurrently.
+// Both locks are held for the fold, so locked writers may run
+// concurrently; a handle writer on o may not (handles skip the lock).
+// s.Merge(s) doubles every window, total, and drop count, as merging an
+// equal copy would.
 func (s *Store) Merge(o *Store) error {
 	if s == nil || o == nil {
 		return nil
 	}
-	// Copy o's state out under its own lock, then fold under ours —
-	// never holding both (see Registry.Merge for the deadlock this
-	// avoids).
-	o.mu.Lock()
+	// Geometry is fixed at construction, so it needs no lock.
 	if o.res != s.res || o.cap != s.cap {
-		ores, ocap := o.res, o.cap
-		o.mu.Unlock()
 		return fmt.Errorf("monitor: Store.Merge geometry mismatch: %v×%d windows into %v×%d",
-			ores, ocap, s.res, s.cap)
+			o.res, o.cap, s.res, s.cap)
 	}
-	type snap struct {
-		name string
-		se   series
-	}
-	snaps := make([]snap, 0, len(o.series))
-	for name, se := range o.series {
-		cp := *se
-		cp.ring = append([]Rollup(nil), se.ring...)
-		snaps = append(snaps, snap{name, cp})
-	}
-	o.mu.Unlock()
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].name < snaps[j].name })
-
+	mergeMu.Lock()
+	defer mergeMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, sn := range snaps {
-		dst := s.getSeries(sn.name)
-		dst.total.merge(sn.se.total)
-		dst.dropped += sn.se.dropped
-		if sn.se.latest < 0 {
+	if o != s {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+	}
+	// Fold straight from o's rings. On a self-merge dst and src are the
+	// same series: each window is read before it is written, so it doubles.
+	for name, src := range o.series {
+		dst := s.getSeries(name)
+		dst.total.merge(src.total)
+		dst.dropped += src.dropped
+		if src.latest < 0 {
 			continue
 		}
-		if sn.se.latest > dst.latest {
+		if src.latest > dst.latest {
 			from := dst.latest + 1
-			if sn.se.latest-from >= int64(s.cap) {
-				from = sn.se.latest - int64(s.cap) + 1
+			if src.latest-from >= int64(s.cap) {
+				from = src.latest - int64(s.cap) + 1
 			}
-			for i := from; i <= sn.se.latest; i++ {
+			for i := from; i <= src.latest; i++ {
 				dst.ring[i%int64(s.cap)] = Rollup{}
 			}
-			dst.latest = sn.se.latest
+			dst.latest = src.latest
 		}
-		lo := sn.se.latest - int64(s.cap) + 1
+		lo := src.latest - int64(s.cap) + 1
 		if min := dst.latest - int64(s.cap) + 1; lo < min {
 			lo = min
 		}
 		if lo < 0 {
 			lo = 0
 		}
-		for w := lo; w <= sn.se.latest; w++ {
-			dst.ring[w%int64(s.cap)].merge(sn.se.ring[w%int64(s.cap)])
+		for w := lo; w <= src.latest; w++ {
+			dst.ring[w%int64(s.cap)].merge(src.ring[w%int64(s.cap)])
 		}
 	}
 	return nil

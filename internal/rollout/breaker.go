@@ -69,13 +69,16 @@ type breakerSample struct {
 }
 
 type breaker struct {
-	cfg      BreakerConfig
-	state    breakerState
-	window   []breakerSample
-	consec   int // consecutive fallbacks while closed
-	probes   int // consecutive clean probes while half-open
-	openedAt time.Duration
-	opens    int
+	cfg    BreakerConfig
+	state  breakerState
+	window []breakerSample
+	// fallbacks counts the window's fallback samples, kept in step with
+	// every append and prune so observe never rescans the window.
+	fallbacks int
+	consec    int // consecutive fallbacks while closed
+	probes    int // consecutive clean probes while half-open
+	openedAt  time.Duration
+	opens     int
 	// rate and count capture the window at the moment of the last trip,
 	// for the event log.
 	rate  float64
@@ -86,14 +89,28 @@ func newBreaker(cfg BreakerConfig) *breaker {
 	return &breaker{cfg: cfg}
 }
 
-// prune drops window samples older than Window.
+// prune drops window samples older than Window, compacting the rest to
+// the front of the backing array so appends reuse it instead of
+// reallocating as the window slides.
 func (b *breaker) prune(now time.Duration) {
 	cut := now - b.cfg.Window
 	i := 0
 	for i < len(b.window) && b.window[i].at <= cut {
+		if b.window[i].fallback {
+			b.fallbacks--
+		}
 		i++
 	}
-	b.window = b.window[i:]
+	if i > 0 {
+		b.window = b.window[:copy(b.window, b.window[i:])]
+	}
+}
+
+// reset empties the window, keeping its backing array.
+func (b *breaker) reset() {
+	b.window = b.window[:0]
+	b.fallbacks = 0
+	b.consec = 0
 }
 
 // observe records one request served by the debloated artifact and returns
@@ -115,8 +132,7 @@ func (b *breaker) observe(at time.Duration, fallback bool) string {
 		b.probes++
 		if b.probes >= b.cfg.Probes {
 			b.state = breakerClosed
-			b.window = nil
-			b.consec = 0
+			b.reset()
 			b.probes = 0
 			return "close"
 		}
@@ -126,17 +142,12 @@ func (b *breaker) observe(at time.Duration, fallback bool) string {
 	b.prune(at)
 	b.window = append(b.window, breakerSample{at: at, fallback: fallback})
 	if fallback {
+		b.fallbacks++
 		b.consec++
 	} else {
 		b.consec = 0
 	}
-	fallbacks := 0
-	for _, s := range b.window {
-		if s.fallback {
-			fallbacks++
-		}
-	}
-	rate := float64(fallbacks) / float64(len(b.window))
+	rate := float64(b.fallbacks) / float64(len(b.window))
 	trip := (b.cfg.Consecutive > 0 && b.consec >= b.cfg.Consecutive) ||
 		(b.cfg.MinRequests > 0 && len(b.window) >= b.cfg.MinRequests && rate >= b.cfg.FallbackRate)
 	if trip {
@@ -145,8 +156,7 @@ func (b *breaker) observe(at time.Duration, fallback bool) string {
 		b.opens++
 		b.rate = rate
 		b.count = len(b.window)
-		b.window = nil
-		b.consec = 0
+		b.reset()
 		return "open"
 	}
 	return ""

@@ -33,14 +33,20 @@ type Histogram struct {
 	sum   float64
 	min   float64
 	max   float64
+	// lo and hi bound the occupied log buckets, [lo, hi); lo == hi while
+	// no positive value has been observed. Every bucket outside the span
+	// is zero, so Quantile scans only the span.
+	lo, hi int
 }
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
-// histBucket maps a positive value to its bucket index, clamping values
-// outside the representable range into the edge buckets.
-func histBucket(v float64) int {
+// histBucketLog maps a positive value to its bucket index, clamping
+// values outside the representable range into the edge buckets. It is the
+// reference definition of the layout: histBucket answers the same index
+// from a table, and the table is derived from this function.
+func histBucketLog(v float64) int {
 	idx := int(math.Floor((math.Log10(v) - histMinDecade) * histBucketsPerDecade))
 	if idx < 0 {
 		return 0
@@ -51,9 +57,59 @@ func histBucket(v float64) int {
 	return idx
 }
 
-// bucketValue is the representative (geometric midpoint) of bucket i.
-func bucketValue(i int) float64 {
-	return math.Pow(10, float64(histMinDecade)+(float64(i)+0.5)/histBucketsPerDecade)
+// The exact bucket table. bucketLower[i] is the smallest positive float64
+// that histBucketLog puts in bucket i or above (bucketLower[0] is the
+// smallest positive float), found by bisecting the float64 bit patterns:
+// for positive floats the bit order is the numeric order, so 63 halvings
+// pin the boundary to the ulp. bucketStart[e] is the bucket of the
+// smallest float with biased exponent e. One binary octave spans
+// 8·log10(2) ≈ 2.4 buckets, so from there at most three comparisons
+// against bucketLower finish the lookup. bucketMid holds each bucket's
+// geometric midpoint, the value Quantile reports.
+var (
+	bucketLower [HistogramBuckets]float64
+	bucketStart [1 << 11]uint8
+	bucketMid   [HistogramBuckets]float64
+)
+
+func init() {
+	bucketLower[0] = math.SmallestNonzeroFloat64
+	for i := 1; i < HistogramBuckets; i++ {
+		// Invariant: histBucketLog(lo) < i <= histBucketLog(hi).
+		lo, hi := math.Float64bits(bucketLower[i-1]), math.Float64bits(math.MaxFloat64)
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if histBucketLog(math.Float64frombits(mid)) >= i {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		bucketLower[i] = math.Float64frombits(hi)
+	}
+	for e := range bucketStart {
+		// Exponent 0 holds zero and the subnormals, all of which land in
+		// bucket 0; exponent 2047 (Inf, NaN) never reaches histBucket.
+		v := math.Float64frombits(uint64(max(e, 1)) << 52)
+		b := 0
+		for b+1 < HistogramBuckets && v >= bucketLower[b+1] {
+			b++
+		}
+		bucketStart[e] = uint8(b)
+	}
+	for i := range bucketMid {
+		bucketMid[i] = math.Pow(10, float64(histMinDecade)+(float64(i)+0.5)/histBucketsPerDecade)
+	}
+}
+
+// histBucket maps a positive, finite value to its bucket index; it equals
+// histBucketLog(v) for every such value.
+func histBucket(v float64) int {
+	b := int(bucketStart[math.Float64bits(v)>>52])
+	for b+1 < HistogramBuckets && v >= bucketLower[b+1] {
+		b++
+	}
+	return b
 }
 
 // Observe records one value. Zero is counted in a dedicated zero bucket
@@ -77,7 +133,19 @@ func (h *Histogram) Observe(v float64) {
 		h.zeros++
 		return
 	}
-	h.counts[histBucket(v)]++
+	b := histBucket(v)
+	h.counts[b]++
+	h.widen(b, b+1)
+}
+
+// widen grows the occupied span to cover [lo, hi).
+func (h *Histogram) widen(lo, hi int) {
+	if h.lo == h.hi {
+		h.lo, h.hi = lo, hi
+		return
+	}
+	h.lo = min(h.lo, lo)
+	h.hi = max(h.hi, hi)
 }
 
 // Merge folds o into h bucket-wise. A nil or empty o is a no-op, and so is
@@ -96,9 +164,13 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.count += o.count
 	h.sum += o.sum
 	h.zeros += o.zeros
-	for i := range h.counts {
+	if o.lo == o.hi {
+		return
+	}
+	for i := o.lo; i < o.hi; i++ {
 		h.counts[i] += o.counts[i]
 	}
+	h.widen(o.lo, o.hi)
 }
 
 // Count returns the number of observations.
@@ -140,13 +212,14 @@ func (h *Histogram) Quantile(q float64) float64 {
 		// The rank falls among the non-positive observations.
 		return h.clamp(0)
 	}
-	for i, c := range h.counts {
+	for i := h.lo; i < h.hi; i++ {
+		c := h.counts[i]
 		if c == 0 {
 			continue
 		}
 		cum += float64(c)
 		if cum >= target {
-			return h.clamp(bucketValue(i))
+			return h.clamp(bucketMid[i])
 		}
 	}
 	return h.max

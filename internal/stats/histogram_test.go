@@ -252,3 +252,125 @@ func TestHistogramMergeSelf(t *testing.T) {
 		t.Fatalf("copy-merge sum = %v, want %v", h.Sum(), 2*before.Sum())
 	}
 }
+
+// checkBucket fails t unless the table lookup agrees with the reference
+// log formula on v (positive, finite). It skips t.Helper: the boundary
+// sweep calls it millions of times.
+func checkBucket(t *testing.T, v float64) {
+	if got, want := histBucket(v), histBucketLog(v); got != want {
+		t.Fatalf("histBucket(%v [%#x]) = %d, histBucketLog = %d", v, math.Float64bits(v), got, want)
+	}
+}
+
+// TestHistBucketMatchesLog checks the exact bucket table against the
+// log-formula reference: every float within ±20,000 ulps of each bucket
+// boundary, log-spread values over and beyond the bucket range, and
+// random bit patterns across the whole positive float64 range.
+func TestHistBucketMatchesLog(t *testing.T) {
+	const ulps = 20_000
+	for i := 1; i < HistogramBuckets; i++ {
+		b := math.Float64bits(bucketLower[i])
+		if histBucketLog(bucketLower[i]) != i || histBucketLog(math.Float64frombits(b-1)) != i-1 {
+			t.Fatalf("bucketLower[%d] = %v is not the boundary of bucket %d", i, bucketLower[i], i)
+		}
+		for u := b - ulps; u <= b+ulps; u++ {
+			checkBucket(t, math.Float64frombits(u))
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n < 200_000; n++ {
+		// Log-spread: 10^-12 .. 10^15, past both clamped edges.
+		checkBucket(t, math.Pow(10, -12+27*rng.Float64()))
+		// Raw bits: any positive finite float, subnormals included.
+		bits := rng.Uint64() &^ (1 << 63)
+		if v := math.Float64frombits(bits); v > 0 && !math.IsInf(v, 0) && !math.IsNaN(v) {
+			checkBucket(t, v)
+		}
+	}
+	for _, v := range []float64{math.SmallestNonzeroFloat64, 1e-9, 1, 10, 1e12, math.MaxFloat64} {
+		checkBucket(t, v)
+	}
+}
+
+// FuzzHistBucketMatchesLog explores the table lookup against the
+// log-formula reference over arbitrary positive finite floats.
+func FuzzHistBucketMatchesLog(f *testing.F) {
+	for _, v := range []float64{1e-9, 0.0421, 1, 3.1622776601683795, 1e12, 5e-324} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits &^ (1 << 63))
+		if v == 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+			return
+		}
+		checkBucket(t, v)
+	})
+}
+
+// fullScanQuantile is Quantile as a scan over every bucket, with each
+// midpoint computed by math.Pow: the reference the occupied span and the
+// midpoint table must reproduce bit for bit.
+func fullScanQuantile(h *Histogram, q float64) float64 {
+	if h.count == 0 {
+		return 0
+	}
+	if q <= 0 {
+		return h.min
+	}
+	if q >= 1 {
+		return h.max
+	}
+	target := q * float64(h.count)
+	cum := float64(h.zeros)
+	if cum >= target {
+		return h.clamp(0)
+	}
+	for i, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		cum += float64(c)
+		if cum >= target {
+			return h.clamp(math.Pow(10, float64(histMinDecade)+(float64(i)+0.5)/histBucketsPerDecade))
+		}
+	}
+	return h.max
+}
+
+// TestQuantileOccupiedSpan drives random Observe/Merge sequences — zeros,
+// out-of-range values, empty and self merges included — and requires
+// every quantile to equal the full-scan reference.
+func TestQuantileOccupiedSpan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	qs := []float64{-0.5, 0, 1e-9, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1 - 1e-12, 1, 2}
+	for trial := 0; trial < 300; trial++ {
+		hs := make([]Histogram, 4)
+		for step := 0; step < 60; step++ {
+			h := &hs[rng.Intn(len(hs))]
+			switch r := rng.Intn(10); {
+			case r < 6:
+				// A narrow decade per trial keeps spans short; a rare wide
+				// draw reaches the clamped edges.
+				lo, width := -3+rng.Float64()*6, 1.0
+				if rng.Intn(8) == 0 {
+					lo, width = -14, 30
+				}
+				h.Observe(math.Pow(10, lo+width*rng.Float64()))
+			case r < 7:
+				h.Observe(0)
+			case r < 9:
+				h.Merge(&hs[rng.Intn(len(hs))]) // sometimes itself, sometimes empty
+			default:
+				h.Merge(NewHistogram())
+			}
+			for i := range hs {
+				for _, q := range qs {
+					if got, want := hs[i].Quantile(q), fullScanQuantile(&hs[i], q); got != want {
+						t.Fatalf("trial %d step %d hist %d: Quantile(%v) = %v, full scan %v",
+							trial, step, i, q, got, want)
+					}
+				}
+			}
+		}
+	}
+}
