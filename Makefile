@@ -26,9 +26,11 @@ lambdabench-check:
 # take operator-written specs (SLOs, canary stages), on the differential
 # compile/eval harness (walker vs compiled engine must agree byte-for-byte
 # on every observable), on the lazily seeded arrival source (must draw
-# exactly math/rand's stream for any seed), and on the histogram's bucket
+# exactly math/rand's stream for any seed), on the histogram's bucket
 # table (must pick exactly the log formula's bucket for any positive
-# float). Seeds alone run in the normal test pass; this also explores.
+# float), and on the DD loop (every worker count from 1 to 8 must return
+# the same 1-minimal subset). Seeds alone run in the normal test pass; this
+# also explores.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseSLOs -fuzztime $(FUZZTIME) -run xxx ./internal/obs/monitor
@@ -38,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzParseIncidents -fuzztime $(FUZZTIME) -run xxx ./internal/chaos
 	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime $(FUZZTIME) -run xxx ./internal/trace
 	$(GO) test -fuzz FuzzHistBucketMatchesLog -fuzztime $(FUZZTIME) -run xxx ./internal/stats
+	$(GO) test -fuzz FuzzMinimizeWorkersAgree -fuzztime $(FUZZTIME) -run xxx ./internal/dd
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

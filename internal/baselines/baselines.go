@@ -142,7 +142,7 @@ func FaaSLight(app *appspec.App, k int) (*Result, error) {
 // fixpoint: removing an attribute may orphan others, but conservatism goes
 // the other way — anything referenced stays.
 func reachabilityTrim(app *appspec.App, module string, protected map[string]bool) ([]string, error) {
-	path, ok := moduleFile(app, module)
+	path, ok := debloat.ModuleFile(app, module)
 	if !ok {
 		return nil, errNotLibrary
 	}
@@ -163,14 +163,13 @@ func reachabilityTrim(app *appspec.App, module string, protected map[string]bool
 	}
 	binders := make(map[string][]pylang.Stmt)
 	for _, s := range ast.Body {
-		names := boundNames(s)
-		if len(names) == 0 || bindsMagic(names) {
+		if !debloat.IsCandidate(s) {
 			for _, ref := range referencedNames(s) {
 				keep[ref] = true
 			}
 			continue
 		}
-		for _, n := range names {
+		for _, n := range debloat.BoundNames(s) {
 			binders[n] = append(binders[n], s)
 		}
 	}
@@ -194,11 +193,11 @@ func reachabilityTrim(app *appspec.App, module string, protected map[string]bool
 	var removed []string
 	var kept []pylang.Stmt
 	for _, s := range ast.Body {
-		names := boundNames(s)
-		if len(names) == 0 || bindsMagic(names) {
+		if !debloat.IsCandidate(s) {
 			kept = append(kept, s)
 			continue
 		}
+		names := debloat.BoundNames(s)
 		// Statement granularity: keep the whole statement if any bound
 		// name is kept (the coarseness λ-trim's §6.1 argues against).
 		anyKept := false
@@ -243,16 +242,11 @@ func Vulture(app *appspec.App) (*Result, error) {
 		if err != nil {
 			continue
 		}
+		// A def's own body references count (Vulture scans text).
 		for _, s := range ast.Body {
-			binds := map[string]bool{}
-			for _, n := range boundNames(s) {
-				binds[n] = true
-			}
 			for _, ref := range referencedNames(s) {
 				referenced[ref] = true
 			}
-			// A def's own body references count (Vulture scans text).
-			_ = binds
 		}
 	}
 
@@ -268,11 +262,11 @@ func Vulture(app *appspec.App) (*Result, error) {
 		var kept []pylang.Stmt
 		var removed []string
 		for _, s := range ast.Body {
-			names := boundNames(s)
-			if len(names) == 0 || bindsMagic(names) {
+			if !debloat.IsCandidate(s) {
 				kept = append(kept, s)
 				continue
 			}
+			names := debloat.BoundNames(s)
 			allDead := true
 			for _, n := range names {
 				if referenced[n] || strings.HasPrefix(n, "__") {
@@ -297,15 +291,6 @@ func Vulture(app *appspec.App) (*Result, error) {
 
 var errNotLibrary = errors.New("baselines: not a site-packages module")
 
-func bindsMagic(names []string) bool {
-	for _, n := range names {
-		if pyruntime.MagicAttrs[n] {
-			return true
-		}
-	}
-	return false
-}
-
 // referencedNames returns every identifier read anywhere inside stmt,
 // including in nested defs/classes (conservative textual reachability).
 func referencedNames(s pylang.Stmt) []string {
@@ -324,58 +309,6 @@ func referencedNames(s pylang.Stmt) []string {
 		return true
 	})
 	return out
-}
-
-// boundNames mirrors the debloater's notion of which attributes a
-// statement binds.
-func boundNames(s pylang.Stmt) []string {
-	switch v := s.(type) {
-	case *pylang.DefStmt:
-		return []string{v.Name}
-	case *pylang.ClassStmt:
-		return []string{v.Name}
-	case *pylang.AssignStmt:
-		var names []string
-		for _, t := range v.Targets {
-			if n, ok := t.(*pylang.NameExpr); ok {
-				names = append(names, n.Name)
-			}
-		}
-		return names
-	case *pylang.ImportStmt:
-		names := make([]string, 0, len(v.Names))
-		for _, a := range v.Names {
-			names = append(names, a.Bound())
-		}
-		return names
-	case *pylang.FromImportStmt:
-		if v.Star {
-			return nil
-		}
-		names := make([]string, 0, len(v.Names))
-		for _, a := range v.Names {
-			if a.AsName != "" {
-				names = append(names, a.AsName)
-			} else {
-				names = append(names, a.Name)
-			}
-		}
-		return names
-	}
-	return nil
-}
-
-func moduleFile(app *appspec.App, name string) (string, bool) {
-	rel := strings.ReplaceAll(name, ".", "/")
-	for _, candidate := range []string{
-		pyruntime.SitePackages + rel + ".py",
-		pyruntime.SitePackages + rel + "/__init__.py",
-	} {
-		if app.Image.Exists(candidate) {
-			return candidate, true
-		}
-	}
-	return "", false
 }
 
 func pathToModule(path string) string {

@@ -11,6 +11,7 @@ package dd
 import (
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Oracle tests whether a candidate subset of components satisfies the
@@ -43,25 +44,42 @@ func Minimize[T any](items []T, oracle Oracle[T]) ([]T, Stats) {
 	return MinimizeWith(items, oracle, Options{})
 }
 
-// MinimizeWith runs DD with explicit options: worker count (parallel
-// oracle evaluation) and an optional tracer recording rounds, oracle
-// calls, and waves over the caller's simulated clock.
+// MinimizeWith runs DD with explicit options: the worker count and an
+// optional tracer recording rounds, oracle calls, and waves over the
+// caller's simulated clock.
+//
+// Workers > 1 is the intra-module parallelization the paper's §9 proposes
+// as future work ("multiple sets of attributes of the same module in
+// parallel"). Each step's candidates — the partitions, then, if none
+// passes, the complements — are tested in index-ordered waves of Workers
+// concurrent oracle calls, and the step accepts the lowest-indexed passing
+// candidate regardless of completion order. Once a wave contains a passing
+// candidate no later wave is launched; the extra calls for higher-indexed
+// candidates in the same wave are the price of the speedup (they count in
+// Stats.Tests). A wave always runs to completion and its boundaries depend
+// only on Workers, so the accepted subset — identical to the sequential
+// algorithm's — and Stats are deterministic for a fixed worker count,
+// never dependent on goroutine scheduling. With one worker every wave
+// holds a single candidate, tested in order up to the first pass: the
+// sequential algorithm.
+//
+// With Workers > 1 the oracle must be safe for concurrent invocation.
 func MinimizeWith[T any](items []T, oracle Oracle[T], opts Options) ([]T, Stats) {
-	if opts.Workers > 1 {
-		return minimizeParallel(items, oracle, opts)
-	}
-	return minimize(items, oracle, opts)
-}
-
-func minimize[T any](items []T, oracle Oracle[T], opts Options) ([]T, Stats) {
+	workers := max(opts.Workers, 1)
 	var stats Stats
+	var mu sync.Mutex // guards stats and memo while a wave runs
 	memo := make(map[string]bool)
 	t := newTrace(opts, len(items))
 
 	test := func(keep []int) bool {
 		key := indexKey(keep)
-		if v, ok := memo[key]; ok {
+		mu.Lock()
+		v, ok := memo[key]
+		if ok {
 			stats.CacheHits++
+		}
+		mu.Unlock()
+		if ok {
 			t.cacheHit()
 			return v
 		}
@@ -69,10 +87,48 @@ func minimize[T any](items []T, oracle Oracle[T], opts Options) ([]T, Stats) {
 		for i, idx := range keep {
 			subset[i] = items[idx]
 		}
+		v = t.oracleCall(len(keep), func() bool { return oracle(subset) })
+		mu.Lock()
 		stats.Tests++
-		v := t.oracleCall(len(keep), func() bool { return oracle(subset) })
 		memo[key] = v
+		mu.Unlock()
 		return v
+	}
+
+	// firstPassing tests candidates 0..n-1 in index-ordered waves and
+	// returns the lowest-indexed one that passes. cand builds candidate i
+	// when its wave starts, so a step that passes early never builds the
+	// rest.
+	keeps := make([][]int, workers)
+	pass := make([]bool, workers)
+	firstPassing := func(n int, cand func(i int) []int) ([]int, bool) {
+		for start := 0; start < n; start += workers {
+			size := min(workers, n-start)
+			t.wave(start, size, func() {
+				if size == 1 {
+					keeps[0] = cand(start)
+					pass[0] = test(keeps[0])
+					return
+				}
+				var wg sync.WaitGroup
+				for i := 0; i < size; i++ {
+					keeps[i] = cand(start + i)
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						pass[i] = test(keeps[i])
+					}(i)
+				}
+				wg.Wait()
+			})
+			for i := 0; i < size; i++ {
+				if pass[i] {
+					t.waveCancel(n - start - size)
+					return keeps[i], true
+				}
+			}
+		}
+		return nil, false
 	}
 
 	all := make([]int, len(items))
@@ -100,43 +156,26 @@ func minimize[T any](items []T, oracle Oracle[T], opts Options) ([]T, Stats) {
 	n := 2
 	round := 0
 	for {
-		if n > len(current) {
-			n = len(current)
-		}
-		if stats.MaxGranularity < n {
-			stats.MaxGranularity = n
-		}
+		n = min(n, len(current))
+		stats.MaxGranularity = max(stats.MaxGranularity, n)
 		round++
 		rs := t.startRound(round, n, len(current))
 		parts := split(current, n)
 
 		// Step 1: does some partition alone satisfy the oracle?
-		reduced := false
-		for _, p := range parts {
-			if test(p) {
-				current = p
-				n = 2
-				reduced = true
-				stats.Reductions++
-				break
+		keep, reduced := firstPassing(len(parts), func(i int) []int { return parts[i] })
+		if reduced {
+			n = 2
+		} else if n > 1 {
+			// Step 2: does some complement satisfy the oracle?
+			keep, reduced = firstPassing(len(parts), func(i int) []int { return complement(current, parts[i]) })
+			if reduced {
+				n = max(n-1, 2)
 			}
 		}
-
-		// Step 2: does some complement satisfy the oracle?
-		if !reduced && n > 1 {
-			for i := range parts {
-				comp := complement(current, parts[i])
-				if test(comp) {
-					current = comp
-					n = n - 1
-					if n < 2 {
-						n = 2
-					}
-					reduced = true
-					stats.Reductions++
-					break
-				}
-			}
+		if reduced {
+			current = keep
+			stats.Reductions++
 		}
 		t.endRound(rs, reduced, len(current))
 
@@ -145,10 +184,7 @@ func minimize[T any](items []T, oracle Oracle[T], opts Options) ([]T, Stats) {
 			if n >= len(current) {
 				break
 			}
-			n = 2 * n
-			if n > len(current) {
-				n = len(current)
-			}
+			n = min(2*n, len(current))
 		}
 		if len(current) <= 1 {
 			// A single remaining component: it is needed (empty set was

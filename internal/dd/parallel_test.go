@@ -19,7 +19,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for _, needed := range cases {
 		items := seq(10)
 		seqMin, _ := Minimize(items, subsetOracle(needed))
-		parMin, _ := MinimizeParallel(items, subsetOracle(needed), 4)
+		parMin, _ := MinimizeWith(items, subsetOracle(needed), Options{Workers: 4})
 		if len(seqMin) != len(parMin) {
 			t.Errorf("needed %v: sequential %v vs parallel %v", needed, seqMin, parMin)
 			continue
@@ -37,7 +37,7 @@ func TestParallelLargerSet(t *testing.T) {
 	items := seq(120)
 	needed := []int{7, 33, 34, 35, 90}
 	seqMin, _ := Minimize(items, subsetOracle(needed))
-	parMin, parStats := MinimizeParallel(items, subsetOracle(needed), 8)
+	parMin, parStats := MinimizeWith(items, subsetOracle(needed), Options{Workers: 8})
 	if len(parMin) != len(needed) || len(seqMin) != len(needed) {
 		t.Fatalf("seq=%v par=%v", seqMin, parMin)
 	}
@@ -64,7 +64,7 @@ func TestParallelWorkerCap(t *testing.T) {
 		defer atomic.AddInt64(&inFlight, -1)
 		return subsetOracle([]int{1, 14})(keep)
 	}
-	MinimizeParallel(seq(30), oracle, 3)
+	MinimizeWith(seq(30), oracle, Options{Workers: 3})
 	if atomic.LoadInt64(&maxInFlight) > 3 {
 		t.Errorf("concurrency %d exceeded worker cap 3", maxInFlight)
 	}
@@ -76,7 +76,7 @@ func TestParallelSingleWorkerFallsBack(t *testing.T) {
 		calls++ // safe: workers<=1 must be fully sequential
 		return subsetOracle([]int{2})(keep)
 	}
-	min, stats := MinimizeParallel(seq(8), oracle, 1)
+	min, stats := MinimizeWith(seq(8), oracle, Options{Workers: 1})
 	if len(min) != 1 || min[0] != 2 {
 		t.Errorf("min = %v", min)
 	}
@@ -112,7 +112,7 @@ func TestParallelWaveCancellation(t *testing.T) {
 	}
 
 	oracle2, seen2 := recordingOracle(needed)
-	min2, _ := MinimizeParallel(seq(8), oracle2, 2)
+	min2, _ := MinimizeWith(seq(8), oracle2, Options{Workers: 2})
 	if len(min2) != 2 || min2[0] != 0 || min2[1] != 7 {
 		t.Fatalf("minimized to %v, want [0 7]", min2)
 	}
@@ -123,7 +123,7 @@ func TestParallelWaveCancellation(t *testing.T) {
 	}
 
 	oracle4, seen4 := recordingOracle(needed)
-	min4, _ := MinimizeParallel(seq(8), oracle4, 4)
+	min4, _ := MinimizeWith(seq(8), oracle4, Options{Workers: 4})
 	if len(min4) != 2 {
 		t.Fatalf("minimized to %v", min4)
 	}
@@ -141,7 +141,7 @@ func TestParallelStatsDeterministic(t *testing.T) {
 	seqMin, _ := Minimize(items, subsetOracle(needed))
 	var first Stats
 	for run := 0; run < 5; run++ {
-		parMin, stats := MinimizeParallel(items, subsetOracle(needed), 4)
+		parMin, stats := MinimizeWith(items, subsetOracle(needed), Options{Workers: 4})
 		if len(parMin) != len(seqMin) {
 			t.Fatalf("run %d: parallel %v vs sequential %v", run, parMin, seqMin)
 		}
@@ -161,12 +161,12 @@ func TestParallelStatsDeterministic(t *testing.T) {
 }
 
 func TestParallelEmptyAndBroken(t *testing.T) {
-	min, _ := MinimizeParallel(nil, func(keep []string) bool { return true }, 4)
+	min, _ := MinimizeWith(nil, func(keep []string) bool { return true }, Options{Workers: 4})
 	if len(min) != 0 {
 		t.Error("empty input should minimize to nothing")
 	}
 	items := seq(5)
-	min2, _ := MinimizeParallel(items, func(keep []int) bool { return false }, 4)
+	min2, _ := MinimizeWith(items, func(keep []int) bool { return false }, Options{Workers: 4})
 	if len(min2) != 5 {
 		t.Error("broken baseline should return the full set")
 	}
@@ -184,6 +184,6 @@ func BenchmarkMinimizeParallel4(b *testing.B) {
 	items := seq(150)
 	needed := []int{10, 70, 71, 140}
 	for i := 0; i < b.N; i++ {
-		MinimizeParallel(items, subsetOracle(needed), 4)
+		MinimizeWith(items, subsetOracle(needed), Options{Workers: 4})
 	}
 }

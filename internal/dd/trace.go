@@ -8,13 +8,14 @@ import (
 
 // Options configures a minimization run beyond the algorithm's inputs.
 type Options struct {
-	// Workers > 1 evaluates candidate subsets concurrently (see
-	// MinimizeParallel); 0 or 1 runs the sequential algorithm.
+	// Workers > 1 evaluates candidate subsets in concurrent waves (see
+	// MinimizeWith); 0 or 1 runs the sequential algorithm.
 	Workers int
 	// Tracer, when non-nil, records the minimization as a span tree:
-	// one root per run, one span per DD round, and — sequentially —
-	// one span per executed oracle call. Parallel runs record wave
-	// spans instead of per-oracle spans: only wave boundaries are
+	// one root per run, one span per DD round, and — with one worker —
+	// one span per executed oracle call and one dd.cache-hit event per
+	// memo answer. With more workers it records wave spans and
+	// dd.wave-cancel events instead: only wave boundaries are
 	// deterministic synchronization points (virtual time accumulated
 	// inside a wave is a sum, so its value after the wave join is
 	// schedule-independent, but mid-wave reads would not be).
@@ -28,17 +29,18 @@ type Options struct {
 // trace carries the per-run tracing state; a nil *trace disables
 // everything, mirroring the nil-safety of obs itself.
 type trace struct {
-	tr   *obs.Tracer
-	now  func() time.Duration
-	root *obs.Span
-	cur  *obs.Span // parent for oracle/wave spans (current round, else root)
+	tr    *obs.Tracer
+	now   func() time.Duration
+	root  *obs.Span
+	cur   *obs.Span // parent for oracle/wave spans (current round, else root)
+	waves bool      // Workers > 1: record waves, not oracle calls and memo hits
 }
 
 func newTrace(opts Options, items int) *trace {
 	if opts.Tracer == nil {
 		return nil
 	}
-	t := &trace{tr: opts.Tracer, now: opts.Now}
+	t := &trace{tr: opts.Tracer, now: opts.Now, waves: opts.Workers > 1}
 	t.root = t.tr.StartChild(nil, "dd minimize", "dd", t.clock())
 	t.root.Add(obs.Int("items", int64(items)))
 	t.cur = t.root
@@ -99,7 +101,7 @@ func (t *trace) endRound(sp *obs.Span, reduced bool, current int) {
 // It must bracket the call so the span extent covers the virtual time the
 // oracle itself consumed.
 func (t *trace) oracleCall(keep int, run func() bool) bool {
-	if t == nil {
+	if t == nil || t.waves {
 		return run()
 	}
 	start := t.clock()
@@ -113,7 +115,7 @@ func (t *trace) oracleCall(keep int, run func() bool) bool {
 
 // cacheHit counts a memo-table answer (no span: nothing executed).
 func (t *trace) cacheHit() {
-	if t == nil {
+	if t == nil || t.waves {
 		return
 	}
 	t.tr.Emit("dd.cache-hit", t.clock())
@@ -123,7 +125,7 @@ func (t *trace) cacheHit() {
 // at the wave's synchronization points (launch and join), the only places
 // where the shared virtual clock has a schedule-independent value.
 func (t *trace) wave(start, size int, run func()) {
-	if t == nil {
+	if t == nil || !t.waves {
 		run()
 		return
 	}
@@ -138,7 +140,7 @@ func (t *trace) wave(start, size int, run func()) {
 // waveCancel records that a passing candidate in an earlier wave made the
 // remaining candidates' oracle runs unnecessary.
 func (t *trace) waveCancel(skipped int) {
-	if t == nil || skipped <= 0 {
+	if t == nil || !t.waves || skipped <= 0 {
 		return
 	}
 	t.tr.Emit("dd.wave-cancel", t.clock(), obs.Int("skipped", int64(skipped)))

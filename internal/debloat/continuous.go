@@ -1,103 +1,59 @@
 package debloat
 
 import (
-	"fmt"
-
-	"repro/internal/analyzer"
 	"repro/internal/appspec"
-	"repro/internal/profiler"
 	"repro/internal/pylang"
 	"repro/internal/pyparser"
+	"repro/internal/pyruntime"
 )
 
 // Rerun implements the continuous debloating pipeline the paper sketches
 // as future work (§9): when the fallback mechanism collects a failing
 // input — or the function is updated — λ-trim re-runs with an extended
 // oracle set, using the previous run's reductions to drive the new one
-// efficiently. Each previously-reduced module is first revalidated as-is
-// against the extended oracle (a handful of runs); only modules whose
-// reductions no longer pass go through full Delta Debugging again.
+// efficiently. It is Run on the extended app, seeded with prev: each
+// previously-reduced module is first revalidated as-is against the
+// extended oracle (a handful of runs); only modules whose reductions no
+// longer pass go through full Delta Debugging again.
+//
+// A rerun is untraced, uses no shared or memoizing caches, and runs the
+// default engine, whatever cfg says about those.
 func Rerun(prev *Result, newCases []appspec.TestCase, cfg Config) (*Result, error) {
-	if cfg.K <= 0 {
-		cfg.K = 20
-	}
 	app := prev.Original.Clone()
 	app.Oracle = append(app.Oracle, newCases...)
+	cfg.Tracer = nil
+	cfg.Snapshots, cfg.ASTCache, cfg.DisableMemo = nil, nil, true
+	cfg.Engine = pyruntime.EngineDefault
+	return pipeline(app, prev, cfg)
+}
 
-	report, err := analyzer.Analyze(app.Image, app.Entry, app.Handler)
-	if err != nil {
-		return nil, err
+// revalidate is the seeded pipeline's fast path: when prev reduced module
+// name, the reduction prev shipped is tested unchanged against the current
+// oracle and, if it still passes, accepted with prev's module result.
+func revalidate(run *runner, prev *Result, name string) (ModuleResult, bool) {
+	if prev == nil {
+		return ModuleResult{}, false
 	}
-	prof, err := profiler.Run(app.Image, app.Entry, profiler.Options{
-		Scoring: cfg.Scoring, Seed: cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	run, err := newRunner(app)
-	if err != nil {
-		return nil, err
-	}
-
-	// Index the previous run's accepted reductions by module.
-	prevReduced := make(map[string]bool)
 	for _, m := range prev.Modules {
-		if m.Skipped == "" && len(m.Removed) > 0 {
-			prevReduced[m.Module] = true
-		}
-	}
-
-	res := &Result{Original: app, Report: report, Profile: prof}
-	for _, mp := range prof.TopK(cfg.K) {
-		name := mp.Name
-		if prevReduced[name] {
-			// Fast path: does the previous reduction still satisfy the
-			// (extended) oracle?
-			if candidate, ok := previousReduction(prev, name); ok && run.test(name, candidate) {
-				run.overrides[name] = candidate
-				mr := ModuleResult{Module: name}
-				for _, m := range prev.Modules {
-					if m.Module == name {
-						mr = m
-						break
-					}
-				}
-				res.Modules = append(res.Modules, mr)
-				continue
-			}
-		}
-		// Slow path: full DD against the extended oracle.
-		res.Modules = append(res.Modules, debloatModule(run, report, name, cfg))
-	}
-
-	optimized := app.Clone()
-	for name, ast := range run.overrides {
-		path, ok := moduleFile(app, name)
-		if !ok {
+		if m.Module != name {
 			continue
 		}
-		optimized.Image.Write(path, pylang.Print(ast))
-	}
-	res.App = optimized
-	res.DebloatTime = run.virtual
-	res.OracleRuns = run.runs
-
-	final, err := newRunner(optimized)
-	if err != nil {
-		return nil, fmt.Errorf("debloat: rerun output fails verification: %w", err)
-	}
-	for i := range final.golden {
-		if final.golden[i].stdout != run.golden[i].stdout ||
-			final.golden[i].result != run.golden[i].result {
-			return nil, fmt.Errorf("debloat: rerun output diverges on oracle case %d", i)
+		if m.Skipped != "" || len(m.Removed) == 0 {
+			return ModuleResult{}, false
 		}
+		candidate, ok := previousReduction(prev, name)
+		if !ok || !run.test(name, candidate) {
+			return ModuleResult{}, false
+		}
+		run.overrides[name] = candidate
+		return m, true
 	}
-	return res, nil
+	return ModuleResult{}, false
 }
 
 // previousReduction parses the prior optimized image's version of module.
 func previousReduction(prev *Result, name string) (*pylang.Module, bool) {
-	path, ok := moduleFile(prev.App, name)
+	path, ok := ModuleFile(prev.App, name)
 	if !ok {
 		return nil, false
 	}

@@ -2,6 +2,7 @@ package debloat
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -112,13 +113,20 @@ func (r *Result) TotalRemoved() int {
 // VerifyApp checks that an app passes its own oracle set (every test case
 // runs without raising). Used as a behaviour check for optimized images.
 func VerifyApp(app *appspec.App) error {
-	_, err := newRunner(app)
+	_, err := newRunner(app, nil, 0, nil, nil, pyruntime.EngineDefault)
 	return err
 }
 
 // Run executes the full λ-trim pipeline on app: static analysis, cost
 // profiling, and per-module Delta Debugging, returning the optimized app.
 func Run(app *appspec.App, cfg Config) (*Result, error) {
+	return pipeline(app, nil, cfg)
+}
+
+// pipeline is Run seeded with a prior result: before any Delta Debugging,
+// each of prev's accepted reductions is revalidated as-is (see Rerun). A
+// nil prev is a plain Run.
+func pipeline(app *appspec.App, prev *Result, cfg Config) (*Result, error) {
 	if cfg.K <= 0 {
 		cfg.K = 20
 	}
@@ -155,7 +163,7 @@ func Run(app *appspec.App, cfg Config) (*Result, error) {
 
 	// Everything downstream of profiling rides the runner's virtual
 	// clock, offset by the profiling time already spent.
-	run, err := newTracedRunner(app, tr, prof.TotalTime, snap, astc, cfg.Engine)
+	run, err := newRunner(app, tr, prof.TotalTime, snap, astc, cfg.Engine)
 	if err != nil {
 		tr.End(root, prof.TotalTime)
 		return nil, err
@@ -167,14 +175,16 @@ func Run(app *appspec.App, cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		App:      nil,
 		Original: app,
 		Report:   report,
 		Profile:  prof,
 	}
 
 	for _, mp := range prof.TopK(cfg.K) {
-		mr := debloatModule(run, report, mp.Name, cfg)
+		mr, ok := revalidate(run, prev, mp.Name)
+		if !ok {
+			mr = debloatModule(run, report, mp.Name, cfg)
+		}
 		res.Modules = append(res.Modules, mr)
 	}
 
@@ -184,7 +194,7 @@ func Run(app *appspec.App, cfg Config) (*Result, error) {
 	matAt := run.nowVirtual()
 	optimized := app.Clone()
 	for name, ast := range run.overrides {
-		path, ok := moduleFile(app, name)
+		path, ok := ModuleFile(app, name)
 		if !ok {
 			continue
 		}
@@ -204,7 +214,7 @@ func Run(app *appspec.App, cfg Config) (*Result, error) {
 	// source, not the in-memory ASTs) must still pass the oracle. The
 	// caches are shared: the rewritten modules hash to new keys while the
 	// untouched library chain still replays.
-	final, err := newTracedRunner(optimized, nil, 0, snap, astc, cfg.Engine)
+	final, err := newRunner(optimized, nil, 0, snap, astc, cfg.Engine)
 	if err != nil {
 		tr.End(root, matAt)
 		return nil, fmt.Errorf("debloat: optimized app fails verification: %w", err)
@@ -265,7 +275,7 @@ func debloatModule(run *runner, report *analyzer.Report, name string, cfg Config
 		}
 	}()
 
-	path, ok := moduleFile(run.app, name)
+	path, ok := ModuleFile(run.app, name)
 	if !ok {
 		mr.Skipped = "not a site-packages module"
 		return mr
@@ -327,26 +337,14 @@ func debloatModule(run *runner, report *analyzer.Report, name string, cfg Config
 
 	// Step 4: DD over the candidate attributes.
 	oracle := func(keepAttrs []string) bool {
-		removed := make(map[string]bool, len(candidates))
-		for _, c := range candidates {
-			removed[c] = true
-		}
-		for _, k := range keepAttrs {
-			delete(removed, k)
-		}
+		removed := without(candidates, keepAttrs)
 		candidate := &pylang.Module{Name: name, Body: rewriteWithoutAttrs(ast.Body, removed)}
 		return run.test(name, candidate)
 	}
 	keep, stats := minimize(run, candidates, oracle, cfg)
 	mr.DD = stats
 
-	removed := make(map[string]bool, len(candidates))
-	for _, c := range candidates {
-		removed[c] = true
-	}
-	for _, k := range keep {
-		delete(removed, k)
-	}
+	removed := without(candidates, keep)
 	mr.Removed = sortedNames(removed)
 	mr.AttrsAfter = mr.AttrsBefore - len(mr.Removed)
 	if len(mr.Removed) > 0 {
@@ -356,13 +354,24 @@ func debloatModule(run *runner, report *analyzer.Report, name string, cfg Config
 }
 
 // minimize dispatches DD with the run's worker count, tracer, and virtual
-// clock.
+// clock. The oracle durations DD accounts reach the metrics registry only
+// once it returns — in call order with one worker, ascending with more —
+// because a histogram's float sum depends on observation order, and
+// concurrent oracle runs finish in schedule order.
 func minimize[T any](run *runner, items []T, oracle dd.Oracle[T], cfg Config) ([]T, dd.Stats) {
-	return dd.MinimizeWith(items, oracle, dd.Options{
+	run.holding = run.tr != nil
+	keep, stats := dd.MinimizeWith(items, oracle, dd.Options{
 		Workers: cfg.Workers,
 		Tracer:  run.tr,
 		Now:     run.nowVirtual,
 	})
+	run.holding = false
+	if cfg.Workers > 1 {
+		slices.Sort(run.held)
+	}
+	run.observe(run.held...)
+	run.held = run.held[:0]
+	return keep, stats
 }
 
 // debloatModuleStmts is the statement-granularity ablation arm.
@@ -370,28 +379,21 @@ func debloatModuleStmts(run *runner, name string, ast *pylang.Module, candidates
 	// Components are the indices of binding, non-magic statements.
 	var idxs []int
 	for i, s := range ast.Body {
-		if stmtIsCandidate(s) {
+		if IsCandidate(s) {
 			idxs = append(idxs, i)
 		}
 	}
 	keep, stats := minimize(run, idxs, func(keepIdxs []int) bool {
-		keepSet := make(map[int]bool, len(keepIdxs))
-		for _, i := range keepIdxs {
-			keepSet[i] = true
-		}
-		candidate := &pylang.Module{Name: name, Body: rewriteKeepStmts(ast.Body, keepSet)}
+		candidate := &pylang.Module{Name: name, Body: rewriteKeepStmts(ast.Body, set(keepIdxs))}
 		return run.test(name, candidate)
 	}, cfg)
 	mr.DD = stats
 
-	keepSet := make(map[int]bool, len(keep))
-	for _, i := range keep {
-		keepSet[i] = true
-	}
+	keepSet := set(keep)
 	removedAttrs := make(map[string]bool)
 	for _, i := range idxs {
 		if !keepSet[i] {
-			for _, n := range boundNames(ast.Body[i]) {
+			for _, n := range BoundNames(ast.Body[i]) {
 				removedAttrs[n] = true
 			}
 		}
@@ -407,15 +409,7 @@ func debloatModuleStmts(run *runner, name string, ast *pylang.Module, candidates
 // loadAttrs imports the module in an isolated interpreter (with accepted
 // overrides applied) and returns its namespace attribute names.
 func loadAttrs(run *runner, name string) ([]string, bool) {
-	in := pyruntime.New(run.app.Image)
-	in.SetEngine(run.engine)
-	in.SetASTCache(run.astCache)
-	if run.snap != nil {
-		in.SetSnapshots(run.snap)
-	}
-	for n, ast := range run.overrides {
-		in.SetOverride(n, ast)
-	}
+	in := run.interp()
 	mod, perr := in.Import(name)
 	run.account(in.Clock.Now())
 	if perr != nil {
@@ -424,10 +418,11 @@ func loadAttrs(run *runner, name string) ([]string, bool) {
 	return mod.Dict.Names(), true
 }
 
-// moduleFile resolves a module name to its site-packages path inside the
+// ModuleFile resolves a module name to its site-packages path inside the
 // app image. Only library code is debloated; application code and modules
-// without source are skipped.
-func moduleFile(app *appspec.App, name string) (string, bool) {
+// without source are skipped. The static baselines resolve modules the
+// same way.
+func ModuleFile(app *appspec.App, name string) (string, bool) {
 	rel := strings.ReplaceAll(name, ".", "/")
 	for _, candidate := range []string{
 		pyruntime.SitePackages + rel + ".py",

@@ -43,6 +43,10 @@ type runner struct {
 	mu      sync.Mutex
 	virtual time.Duration
 	runs    int
+	// held collects a traced DD run's oracle durations while holding is
+	// set; minimize observes them once DD returns (see there).
+	holding bool
+	held    []time.Duration
 
 	// tr and base place the runner on the pipeline's virtual timeline:
 	// nowVirtual() = base (time already spent upstream, i.e. profiling)
@@ -54,14 +58,27 @@ type runner struct {
 
 // account records one oracle run's simulated duration.
 func (r *runner) account(d time.Duration) {
+	d += SpawnOverhead
 	r.mu.Lock()
-	r.virtual += d + SpawnOverhead
+	defer r.mu.Unlock()
+	r.virtual += d
 	r.runs++
-	r.mu.Unlock()
-	if r.tr != nil {
-		reg := r.tr.Metrics()
+	if r.holding {
+		r.held = append(r.held, d)
+	} else {
+		r.observe(d)
+	}
+}
+
+// observe meters oracle runs into the tracer's registry.
+func (r *runner) observe(ds ...time.Duration) {
+	if r.tr == nil {
+		return
+	}
+	reg := r.tr.Metrics()
+	for _, d := range ds {
 		reg.Inc("debloat.oracle_runs", 1)
-		reg.Observe("debloat.oracle.seconds", (d + SpawnOverhead).Seconds())
+		reg.Observe("debloat.oracle.seconds", d.Seconds())
 	}
 }
 
@@ -76,16 +93,12 @@ func (r *runner) nowVirtual() time.Duration {
 }
 
 // newRunner records the golden behaviour of the unmodified application.
-func newRunner(app *appspec.App) (*runner, error) {
-	return newTracedRunner(app, nil, 0, nil, nil, pyruntime.EngineDefault)
-}
-
-// newTracedRunner is newRunner on the pipeline timeline: the golden runs
-// it performs are already metered into tr's registry. snap and astc are the
-// (possibly suite-shared) snapshot and parse caches; a nil snap disables
-// import memoization and a nil astc falls back to a private parse cache.
-// Neither cache affects any simulated observable — see DESIGN.md §9.
-func newTracedRunner(app *appspec.App, tr *obs.Tracer, base time.Duration, snap *pyruntime.SnapshotCache, astc *pyruntime.ASTCache, engine pyruntime.Engine) (*runner, error) {
+// With a tracer, the golden runs are already metered into tr's registry
+// and the runner sits on the pipeline timeline at base. snap and astc are
+// the (possibly suite-shared) snapshot and parse caches; a nil snap
+// disables import memoization and a nil astc falls back to a private parse
+// cache. Neither cache affects any simulated observable — see DESIGN.md §9.
+func newRunner(app *appspec.App, tr *obs.Tracer, base time.Duration, snap *pyruntime.SnapshotCache, astc *pyruntime.ASTCache, engine pyruntime.Engine) (*runner, error) {
 	if astc == nil {
 		astc = pyruntime.NewASTCache()
 	}
@@ -143,15 +156,7 @@ func (r *runner) test(extraName string, extraAST *pylang.Module) bool {
 // whether the run completed without an exception, and the virtual time the
 // run consumed.
 func (r *runner) execute(tc appspec.TestCase, extraName string, extraAST *pylang.Module) (goldenRecord, bool, time.Duration) {
-	in := pyruntime.New(r.app.Image)
-	in.SetEngine(r.engine)
-	in.SetASTCache(r.astCache)
-	if r.snap != nil {
-		in.SetSnapshots(r.snap)
-	}
-	for name, ast := range r.overrides {
-		in.SetOverride(name, ast)
-	}
+	in := r.interp()
 	if extraAST != nil {
 		in.SetOverride(extraName, extraAST)
 		// The candidate overlay changes on every DD probe; recording import
@@ -181,6 +186,21 @@ func (r *runner) execute(tc appspec.TestCase, extraName string, extraAST *pylang
 		result: pyruntime.Repr(result),
 		remote: in.RemoteLog,
 	}, true, in.Clock.Now()
+}
+
+// interp spawns a fresh interpreter over the app image with the run's
+// engine, caches, and accepted overrides.
+func (r *runner) interp() *pyruntime.Interp {
+	in := pyruntime.New(r.app.Image)
+	in.SetEngine(r.engine)
+	in.SetASTCache(r.astCache)
+	if r.snap != nil {
+		in.SetSnapshots(r.snap)
+	}
+	for name, ast := range r.overrides {
+		in.SetOverride(name, ast)
+	}
+	return in
 }
 
 // Value aliases keep call sites below readable.

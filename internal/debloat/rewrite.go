@@ -42,15 +42,16 @@ func providers(body []pylang.Stmt) map[string][]int {
 		out[name] = append(out[name], idx)
 	}
 	for i, s := range body {
-		for _, name := range boundNames(s) {
+		for _, name := range BoundNames(s) {
 			add(name, i)
 		}
 	}
 	return out
 }
 
-// boundNames returns the module attributes a top-level statement binds.
-func boundNames(s pylang.Stmt) []string {
+// BoundNames returns the module attributes a top-level statement binds:
+// the debloater's statement model, shared with the static baselines.
+func BoundNames(s pylang.Stmt) []string {
 	switch v := s.(type) {
 	case *pylang.DefStmt:
 		return []string{v.Name}
@@ -110,7 +111,7 @@ func rewriteWithoutAttrs(body []pylang.Stmt, removed map[string]bool) []pylang.S
 				continue
 			}
 		case *pylang.AssignStmt:
-			names := boundNames(v)
+			names := BoundNames(v)
 			if len(names) > 0 && allRemoved(names, removed) {
 				continue
 			}
@@ -174,18 +175,18 @@ func allRemoved(names []string, removed map[string]bool) bool {
 func rewriteKeepStmts(body []pylang.Stmt, keep map[int]bool) []pylang.Stmt {
 	out := make([]pylang.Stmt, 0, len(body))
 	for i, s := range body {
-		if !stmtIsCandidate(s) || keep[i] {
+		if !IsCandidate(s) || keep[i] {
 			out = append(out, s)
 		}
 	}
 	return out
 }
 
-// stmtIsCandidate reports whether a statement is a valid DD component at
-// statement granularity: it binds at least one attribute and none of them
-// is magic.
-func stmtIsCandidate(s pylang.Stmt) bool {
-	names := boundNames(s)
+// IsCandidate reports whether a top-level statement is a valid DD component
+// at statement granularity: it binds at least one attribute and none of
+// them is magic. The static baselines keep every other statement too.
+func IsCandidate(s pylang.Stmt) bool {
+	names := BoundNames(s)
 	if len(names) == 0 {
 		return false
 	}
@@ -195,6 +196,24 @@ func stmtIsCandidate(s pylang.Stmt) bool {
 		}
 	}
 	return true
+}
+
+// set returns the members of xs as a set.
+func set[T comparable](xs []T) map[T]bool {
+	out := make(map[T]bool, len(xs))
+	for _, x := range xs {
+		out[x] = true
+	}
+	return out
+}
+
+// without returns the candidates not in keep, as a set.
+func without(candidates, keep []string) map[string]bool {
+	out := set(candidates)
+	for _, k := range keep {
+		delete(out, k)
+	}
+	return out
 }
 
 // sortedNames returns the keys of a string set, sorted.

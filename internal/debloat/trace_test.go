@@ -3,6 +3,7 @@ package debloat
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -140,5 +141,43 @@ func TestTracedPipelineMatchesUntraced(t *testing.T) {
 		} else if waves != 0 {
 			t.Errorf("sequential DD recorded %d wave spans", waves)
 		}
+	}
+}
+
+// Concurrent oracle runs account their durations in schedule order, and a
+// histogram's float sum depends on observation order: the metrics a
+// parallel DD run leaves behind must not. Two runs that account the same
+// durations in different orders give byte-identical snapshots.
+func TestOracleMetricsIndependentOfAccountOrder(t *testing.T) {
+	// 0.3 s, 0.6 s and 0.7 s once SpawnOverhead is added: summed in
+	// index order they give 1.5999999999999999, in order 0, 2, 1 they
+	// give 1.6.
+	durations := []time.Duration{180 * time.Millisecond, 480 * time.Millisecond, 580 * time.Millisecond}
+	var snaps []string
+	for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}} {
+		tr := obs.New()
+		run := &runner{tr: tr}
+		cfg := DefaultConfig()
+		cfg.Workers = 4
+		// Only the full set is ever tested with a non-empty keep list
+		// before memo answers take over, so the durations are accounted
+		// exactly once.
+		minimize(run, []int{0}, func(keep []int) bool {
+			if len(keep) == 0 {
+				return false
+			}
+			for _, i := range order {
+				run.account(durations[i])
+			}
+			return true
+		}, cfg)
+		b, err := tr.Metrics().Snapshot().JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, string(b))
+	}
+	if snaps[0] != snaps[1] {
+		t.Errorf("metrics depend on account order:\n%s\nvs\n%s", snaps[0], snaps[1])
 	}
 }

@@ -10,9 +10,10 @@ import (
 
 // Registry is the metrics side of the observability layer: named counters,
 // gauges, and fixed-bucket latency histograms (stats.Histogram). All
-// methods are nil-safe and safe for concurrent use; every accumulation is
-// order-independent (sums and bucket counts), so concurrent writers — the
-// one concurrent producer is parallel DD — cannot perturb determinism.
+// methods are nil-safe and safe for concurrent use. Counters and bucket
+// counts are order-independent, but a histogram's float sum is not: a
+// concurrent producer must fix its observation order itself (parallel DD
+// observes a run's oracle durations in ascending order once it returns).
 // Unlike monitor.Store and monitor.Ledger, a Registry hands out no
 // lock-free single-writer handles: every call takes the lock, so a
 // high-rate producer adds totals (the fleet replay adds each shard's
@@ -108,8 +109,8 @@ func (r *Registry) Histogram(name string) *stats.Histogram {
 // Merge folds another registry into r: counters sum, gauges take o's value
 // (last-writer-wins, matching sequential SetGauge order when merges happen
 // in that order), histograms merge bucket-wise. Order-independent for
-// counters and histograms; gauge determinism relies on callers merging in a
-// fixed order. Nil-safe on both sides.
+// counters and bucket counts; gauges and histogram sums rely on callers
+// merging in a fixed order. Nil-safe on both sides.
 //
 // o's state is copied out under its own lock before r's is taken — the two
 // locks are never held together, so concurrent cross-merges (worker pools

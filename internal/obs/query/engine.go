@@ -54,7 +54,7 @@ type Point struct {
 // Range evaluates x at every boundary from..to inclusive, stepping by
 // `step` (0 means the store resolution; to<0 means End()). Endpoints snap
 // up to the next resolution boundary so every evaluation point is a
-// boundary.
+// boundary; a step longer than the span yields only the from point.
 func (e *Engine) Range(x Expr, from, to, step time.Duration) []Point {
 	if e == nil || e.Store == nil {
 		return nil
@@ -73,7 +73,11 @@ func (e *Engine) Range(x Expr, from, to, step time.Duration) []Point {
 		from = 0
 	}
 	snap := func(d time.Duration) time.Duration { return ((d + res - 1) / res) * res }
-	from, to, step = snap(from), snap(to), snap(step)
+	from, to = snap(from), snap(to)
+	// Clamp before snapping: a step longer than the span yields only the
+	// from point, and snapping a step near the largest duration would
+	// wrap around.
+	step = snap(min(step, to-from+res))
 	var pts []Point
 	for t := from; t <= to; t += step {
 		pts = append(pts, Point{T: t, V: x.eval(e.Store, t)})

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -86,6 +87,24 @@ func TestRangeEval(t *testing.T) {
 	pts = e.Range(x, 90*time.Second, 3*time.Minute, 0)
 	if len(pts) != 2 || pts[0].T != 2*time.Minute || pts[1].T != 3*time.Minute {
 		t.Fatalf("snapped points = %v", pts)
+	}
+}
+
+// A step longer than the span, up to the largest duration, yields only the
+// from point: the step is clamped before it is snapped to the resolution,
+// which would otherwise wrap around.
+func TestRangeHugeStep(t *testing.T) {
+	e := &Engine{Store: buildStore(), Latest: 9*time.Minute + 30*time.Second}
+	x := mustParse(t, "count(req.total[1m])")
+	for _, step := range []time.Duration{11 * time.Minute, math.MaxInt64 - 1, math.MaxInt64} {
+		pts := e.Range(x, 0, -1, step)
+		if len(pts) != 1 || pts[0].T != 0 {
+			t.Errorf("step %v: points = %v, want only t=0", step, pts)
+		}
+	}
+	// A step that snaps to the span (0m..10m) still reaches the far end.
+	if pts := e.Range(x, 0, -1, 9*time.Minute+time.Second); len(pts) != 2 || pts[1].T != 10*time.Minute {
+		t.Errorf("step 9m1s: points = %v, want t=0 and t=10m", pts)
 	}
 }
 

@@ -42,6 +42,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obs/monitor"
 )
 
@@ -95,19 +96,7 @@ func (s Selector) String() string {
 		b.WriteString(fam)
 		b.WriteByte('"')
 	}
-	if len(labels) > 0 {
-		b.WriteByte('{')
-		for i, l := range labels {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(l.Key)
-			b.WriteString(`="`)
-			b.WriteString(l.Val)
-			b.WriteByte('"')
-		}
-		b.WriteByte('}')
-	}
+	b.WriteString(obs.LabelBlock(labels))
 	return b.String()
 }
 

@@ -205,3 +205,33 @@ func TestDashboardOutlivesTimeouts(t *testing.T) {
 		t.Fatalf("stream incomplete: %q", body)
 	}
 }
+
+// Hostile query parameters get a 400 or a well-formed answer, never
+// wrapped-around timestamps.
+func TestQueryEndpointHostileParams(t *testing.T) {
+	s := testSite()
+	// A step longer than the replay, up to the largest duration, yields
+	// only the from point.
+	for _, step := range []string{"2562047h47m16.854775807s", "2562047h", "24h"} {
+		code, body, _ := get(t, s, "/query?q=req.total&step="+step)
+		if code != 200 || !strings.HasSuffix(body, `"points":[{"t_us":0,"v":0}]}`+"\n") {
+			t.Errorf("step=%s: code=%d body=%q", step, code, body)
+		}
+	}
+	// Non-positive and malformed steps are rejected.
+	for _, step := range []string{"0", "0s", "-1m", "-2562047h", "1x", "5"} {
+		if code, body, _ := get(t, s, "/query?q=req.total&step="+step); code != 400 {
+			t.Errorf("step=%s: code=%d body=%q, want 400", step, code, body)
+		}
+	}
+	// A negative at means the end of the replay, like no at at all.
+	_, atEnd, _ := get(t, s, "/query?q=req.total")
+	if code, body, _ := get(t, s, "/query?q=req.total&at=-5m"); code != 200 || body != atEnd {
+		t.Errorf("at=-5m: code=%d body=%q, want %q", code, body, atEnd)
+	}
+	// A huge at evaluates past every sample: the whole replay's total.
+	code, body, _ := get(t, s, "/query?q=req.total&at=2562047h")
+	if code != 200 || !strings.Contains(body, `"at_us":9223369200000000,"value":55}`) {
+		t.Errorf("at=2562047h: code=%d body=%q", code, body)
+	}
+}
